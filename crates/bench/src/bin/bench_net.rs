@@ -26,10 +26,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use traj_bench::{results_dir, Cli};
 use traj_geolife::{SynthConfig, SynthDataset};
+use traj_net::client::request as client_request;
 use traj_serve::artifact::{ModelArtifact, TrainSpec};
-use traj_serve::http::client_request;
 use traj_serve::registry::ModelRegistry;
 use traj_serve::server::{serve, ServerConfig, ServerHandle};
+use traj_sim::percentile_us;
 use trajlib::report::save_json;
 
 #[derive(Debug, Serialize)]
@@ -73,14 +74,6 @@ struct Results {
 /// falls back to 0 where procfs is absent, disabling the thread bar.
 fn thread_count() -> usize {
     std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 fn predict_body(segments: &[traj_geo::Segment]) -> String {
@@ -146,15 +139,14 @@ fn active_load(
         }
     });
     let duration_s = started.elapsed().as_secs_f64();
-    latencies.sort_unstable();
     ActiveRun {
         connections,
         requests,
         non_2xx,
         duration_s,
         throughput_rps: requests as f64 / duration_s.max(1e-9),
-        p50_us: percentile(&latencies, 0.50),
-        p99_us: percentile(&latencies, 0.99),
+        p50_us: percentile_us(&mut latencies, 50.0),
+        p99_us: percentile_us(&mut latencies, 99.0),
     }
 }
 

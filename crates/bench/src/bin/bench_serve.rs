@@ -31,9 +31,9 @@ use traj_bench::{results_dir, Cli};
 use traj_geo::Segment;
 use traj_geolife::{SynthConfig, SynthDataset};
 use traj_ml::RowMatrix;
+use traj_net::client::request as client_request;
 use traj_serve::artifact::{ModelArtifact, TrainSpec, MIN_SEGMENT_POINTS};
 use traj_serve::batch::{BatchConfig, SchedulerPolicy};
-use traj_serve::http::client_request;
 use traj_serve::registry::{LoadedModel, ModelRegistry};
 use traj_serve::server::{serve, ServerConfig};
 use traj_sim::{ArrivalProcess, SchedulerKind, ServiceModel, Sim, SimConfig};
@@ -196,7 +196,6 @@ fn drive(
     let elapsed = started.elapsed().as_secs_f64();
     handle.stop().expect("clean stop");
 
-    latencies.sort_unstable();
     let requests = latencies.len() as u64 + shed + non_2xx;
     RealRun {
         scheduler,

@@ -19,6 +19,7 @@ use std::time::Instant;
 use serde::Serialize;
 use traj_bench::{results_dir, Cli};
 use traj_serve::artifact::{ModelArtifact, TrainSpec};
+use traj_sim::percentile_us;
 use traj_stream::{StreamConfig, StreamEngine};
 use trajlib::prelude::*;
 use trajlib::report::save_json;
@@ -47,14 +48,6 @@ struct StreamBench {
     /// `peak_state_bytes / peak_open_sessions`: the measured per-user
     /// memory bound (the sessionizer caps it via `exact_cap`).
     peak_state_bytes_per_user: usize,
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 fn main() {
@@ -145,15 +138,14 @@ fn main() {
     }
     let elapsed = started.elapsed();
 
-    close_latencies_us.sort_unstable();
     let result = StreamBench {
         points: events.len(),
         chunks: chunks.len(),
         closes,
         elapsed_ms: elapsed.as_secs_f64() * 1e3,
         points_per_sec: events.len() as f64 / elapsed.as_secs_f64(),
-        close_latency_p50_us: percentile(&close_latencies_us, 0.50),
-        close_latency_p99_us: percentile(&close_latencies_us, 0.99),
+        close_latency_p50_us: percentile_us(&mut close_latencies_us, 50.0),
+        close_latency_p99_us: percentile_us(&mut close_latencies_us, 99.0),
         peak_state_bytes,
         peak_open_sessions,
         peak_state_bytes_per_user: peak_state_bytes / peak_open_sessions.max(1),

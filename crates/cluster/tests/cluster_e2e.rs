@@ -504,7 +504,7 @@ fn failed_import_aborts_reshard_losslessly() {
 fn http_front_door_over_http_backends() {
     use std::io::BufReader;
     use std::net::TcpStream;
-    use traj_serve::http::client_request;
+    use traj_net::client::request as client_request;
 
     // Two real shards over sockets, fronted by the router's own HTTP
     // server — the all-HTTP deployment shape.

@@ -1,4 +1,6 @@
-//! Non-blocking HTTP client multiplexer for router → shard fan-out.
+//! HTTP clients: the non-blocking multiplexer for router → shard
+//! fan-out, and [`request`], the blocking one-request helper that load
+//! generators, tests and examples use over their own connections.
 //!
 //! One background thread owns the socket I/O for every in-flight
 //! backend request: callers hand over a connected stream plus rendered
@@ -14,14 +16,14 @@
 //! where it has always lived, in the cluster backend.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::http1::{RespPoll, ResponseParser};
+use crate::http1::{render_request, RespPoll, Response, ResponseParser};
 use crate::sys::{Event, Interest, Poller};
 
 const TOKEN_WAKER: u64 = u64::MAX - 1;
@@ -34,6 +36,54 @@ const MAX_RESP_HEAD: usize = 8 * 1024;
 /// Response body cap — generous because `/metrics` fan-in documents
 /// grow with shard count.
 const MAX_RESP_BODY: usize = 64 << 20;
+
+/// Sends one request on a blocking keep-alive connection and reads the
+/// response, returning `(status, body)`. Writes go straight to the
+/// inner stream; reads go through the buffer, under the same caps as
+/// [`NetClient`]. The caller sends one request at a time, so bytes past
+/// the end of the response are a protocol error, as is EOF before it.
+pub fn request<S: Read + Write>(
+    stream: &mut BufReader<S>,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+) -> io::Result<(u16, String)> {
+    let inner = stream.get_mut();
+    inner.write_all(&render_request(method, path, body))?;
+    inner.flush()?;
+    let mut parser = ResponseParser::new(MAX_RESP_HEAD, MAX_RESP_BODY);
+    loop {
+        let chunk = stream.fill_buf()?;
+        if chunk.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed before full response",
+            ));
+        }
+        parser.push(chunk);
+        let n = chunk.len();
+        stream.consume(n);
+        match parser.poll() {
+            RespPoll::NeedMore => {}
+            RespPoll::Ready(_) if parser.has_buffered() => {
+                return Err(invalid_data("bytes after the response"))
+            }
+            RespPoll::Ready(resp) => return reply(resp),
+            RespPoll::Error(msg) => return Err(invalid_data(msg)),
+        }
+    }
+}
+
+/// The `(status, body)` of a complete response; bodies are UTF-8 JSON.
+fn reply(resp: Response) -> io::Result<(u16, String)> {
+    String::from_utf8(resp.body)
+        .map(|text| (resp.status, text))
+        .map_err(|_| invalid_data("non-UTF-8 response body"))
+}
+
+fn invalid_data(msg: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
 
 /// Outcome slot the caller blocks on.
 #[derive(Debug, Default)]
@@ -380,17 +430,12 @@ impl EventLoop {
                         match job.parser.poll() {
                             RespPoll::NeedMore => continue,
                             RespPoll::Ready(resp) => {
-                                let body = String::from_utf8(resp.body).map_err(|_| {
-                                    io::Error::new(
-                                        io::ErrorKind::InvalidData,
-                                        "non-UTF-8 response body",
-                                    )
-                                });
-                                break Some(body.map(|b| (resp.status, b, resp.keep_alive)));
+                                let keep_alive = resp.keep_alive;
+                                break Some(
+                                    reply(resp).map(|(status, body)| (status, body, keep_alive)),
+                                );
                             }
-                            RespPoll::Error(msg) => {
-                                break Some(Err(io::Error::new(io::ErrorKind::InvalidData, msg)))
-                            }
+                            RespPoll::Error(msg) => break Some(Err(invalid_data(msg))),
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break None,
@@ -457,5 +502,76 @@ impl EventLoop {
 impl Default for NetClient {
     fn default() -> Self {
         NetClient::new().expect("spawn net client event loop")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// Answers one request on a loopback listener with `chunks`, written
+    /// one `write_all` each with a pause between, then closes; returns
+    /// what [`request`] made of it.
+    fn exchange(chunks: Vec<Vec<u8>>) -> io::Result<(u16, String)> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            conn.set_nodelay(true).expect("nodelay");
+            let mut head = Vec::new();
+            let mut byte = [0u8; 1];
+            while !head.ends_with(b"\r\n\r\n") {
+                conn.read_exact(&mut byte).expect("request head");
+                head.push(byte[0]);
+            }
+            for chunk in chunks {
+                conn.write_all(&chunk).expect("response chunk");
+                conn.flush().expect("flush");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let result = request(&mut BufReader::new(stream), "GET", "/healthz", None);
+        server.join().expect("server thread");
+        result
+    }
+
+    #[test]
+    fn response_written_a_byte_at_a_time_parses() {
+        let wire = crate::http1::render_response(200, "{\"ok\": true}", true, None);
+        let bytes = wire.iter().map(|&b| vec![b]).collect();
+        let (status, body) = exchange(bytes).expect("response");
+        assert_eq!(status, 200);
+        assert_eq!(body, "{\"ok\": true}");
+    }
+
+    #[test]
+    fn eof_mid_body_is_unexpected_eof() {
+        let head = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc".to_vec();
+        let err = exchange(vec![head]).expect_err("truncated body");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn bytes_after_the_response_are_invalid_data() {
+        let mut wire = crate::http1::render_response(200, "{}", true, None);
+        wire.extend_from_slice(b"HTTP/1.1 200 OK\r\n");
+        let err = exchange(vec![wire]).expect_err("trailing bytes");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn body_over_the_cap_is_invalid_data() {
+        let head = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
+            MAX_RESP_BODY + 1
+        );
+        let err = exchange(vec![head.into_bytes()]).expect_err("oversized body");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -1,12 +1,13 @@
-//! Incremental HTTP/1.1 framing for the reactor.
+//! Incremental HTTP/1.1 framing: the workspace's one HTTP codec.
 //!
-//! The blocking path in `traj_serve::http` reads a whole request with a
-//! thread parked on the socket; here the socket delivers whatever bytes
-//! the kernel has, so parsing is a resumable state machine: feed bytes,
-//! poll for a complete request, repeat. The wire dialect is identical —
-//! request-line + headers + `Content-Length` body, keep-alive by
-//! default on HTTP/1.1, chunked bodies rejected — so the blocking
-//! client in serve talks to the reactor without changes.
+//! Sockets deliver whatever bytes the kernel has, so parsing is a
+//! resumable state machine: feed bytes, poll for a complete message,
+//! repeat. The reactor parses requests with [`RequestParser`]; the
+//! multiplexing [`NetClient`](crate::NetClient) and the blocking
+//! [`client::request`](crate::client::request) parse responses with
+//! [`ResponseParser`]. The dialect is request-line + headers +
+//! `Content-Length` body, keep-alive by default on HTTP/1.1, chunked
+//! bodies rejected.
 //!
 //! Rejections carry the status the reactor should answer with before
 //! closing: 400 malformed, 413 body over cap, 431 head over cap. The
@@ -207,7 +208,7 @@ fn parse_head(head: &str) -> Result<ParsedHead, Reject> {
         return Err(reject("unsupported HTTP version"));
     }
     let mut keep_alive = version == "HTTP/1.1";
-    let mut content_length = 0usize;
+    let mut content_length = None;
     for line in lines {
         if line.is_empty() {
             continue;
@@ -219,7 +220,10 @@ fn parse_head(head: &str) -> Result<ParsedHead, Reject> {
         let value = value.trim();
         match name.as_str() {
             "content-length" => {
-                content_length = value.parse().map_err(|_| reject("bad Content-Length"))?;
+                content_length = Some(
+                    fold_content_length(content_length, value)
+                        .ok_or_else(|| reject("bad Content-Length"))?,
+                );
             }
             "connection" => {
                 let v = value.to_ascii_lowercase();
@@ -237,8 +241,23 @@ fn parse_head(head: &str) -> Result<ParsedHead, Reject> {
         method: method.to_owned(),
         path: path.to_owned(),
         keep_alive,
-        content_length,
+        content_length: content_length.unwrap_or(0),
     })
+}
+
+/// Folds one `Content-Length` value into what earlier headers declared.
+/// The value must be `1*DIGIT` (RFC 9112 §6.3; `usize::from_str` alone
+/// would accept a leading `+`), and a repeated header must agree with
+/// the first, or the message framing is ambiguous.
+fn fold_content_length(seen: Option<usize>, value: &str) -> Option<usize> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let len = value.parse().ok()?;
+    match seen {
+        Some(prev) if prev != len => None,
+        _ => Some(len),
+    }
 }
 
 /// Reason phrases for every status the stack emits (the serve set plus
@@ -261,8 +280,8 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Renders a complete response, byte-compatible with
-/// `traj_serve::http::write_response_with_retry`.
+/// Renders a complete JSON response; `retry_after` adds a
+/// `Retry-After` header in whole seconds, rounded up.
 pub fn render_response(
     status: u16,
     body: &str,
@@ -296,8 +315,7 @@ pub fn render_error_body(message: &str) -> String {
     format!("{{\"error\": \"{message}\"}}")
 }
 
-/// Renders a client request, byte-compatible with what
-/// `traj_serve::http::client_request` sends.
+/// Renders a keep-alive client request with a JSON body.
 pub fn render_request(method: &str, path: &str, body: Option<&str>) -> Vec<u8> {
     let body = body.unwrap_or("");
     format!(
@@ -397,7 +415,7 @@ impl ResponseParser {
                     else {
                         return self.poison("unparseable status line");
                     };
-                    let mut content_length = 0usize;
+                    let mut content_length = None;
                     let mut keep_alive = true;
                     for line in lines {
                         if line.is_empty() {
@@ -409,14 +427,15 @@ impl ResponseParser {
                         let name = name.trim().to_ascii_lowercase();
                         let value = value.trim();
                         if name == "content-length" {
-                            let Ok(len) = value.parse() else {
+                            let Some(len) = fold_content_length(content_length, value) else {
                                 return self.poison("bad response Content-Length");
                             };
-                            content_length = len;
+                            content_length = Some(len);
                         } else if name == "connection" && value.eq_ignore_ascii_case("close") {
                             keep_alive = false;
                         }
                     }
+                    let content_length = content_length.unwrap_or(0);
                     if content_length > self.max_body_bytes {
                         return self.poison("response body too large");
                     }
@@ -518,6 +537,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(first.path, "/healthz");
+        assert!(first.body.is_empty());
         assert!(p.has_buffered());
         let second = match p.poll() {
             Poll::Ready(r) => r,
@@ -625,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn client_request_bytes_parse_back() {
+    fn rendered_request_parses_back() {
         let wire = render_request("POST", "/predict", Some("{\"x\":1}"));
         let mut p = RequestParser::new(8 * 1024, 1 << 20);
         p.push(&wire);
@@ -637,6 +657,42 @@ mod tests {
                 assert!(req.keep_alive);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn content_length_must_be_digits_and_agree_when_repeated() {
+        for head in [
+            "POST /predict HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd",
+            "POST /predict HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 5\r\n\r\nabcd",
+            "POST /predict HTTP/1.1\r\nContent-Length: \r\n\r\n",
+        ] {
+            match feed_whole(head.as_bytes()) {
+                Poll::Error(reject) => {
+                    assert_eq!(reject.status, 400, "{head:?}");
+                    assert_eq!(reject.message, "bad Content-Length");
+                }
+                other => panic!("{head:?}: expected 400, got {other:?}"),
+            }
+        }
+        let agreeing =
+            b"POST /predict HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd";
+        assert!(matches!(feed_whole(agreeing), Poll::Ready(req) if req.body == b"abcd"));
+    }
+
+    #[test]
+    fn response_content_length_must_be_digits_and_agree_when_repeated() {
+        for head in [
+            "HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\n{}",
+            "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}",
+        ] {
+            let mut rp = ResponseParser::new(8 * 1024, 1 << 20);
+            rp.push(head.as_bytes());
+            assert_eq!(
+                rp.poll(),
+                RespPoll::Error("bad response Content-Length"),
+                "{head:?}"
+            );
         }
     }
 

@@ -14,9 +14,11 @@
 //!   graceful drain. Complete requests go to a [`Service`]; responses
 //!   come back through a [`Responder`] from any thread.
 //! - [`client`] — client side: one thread multiplexing every in-flight
-//!   backend request, with keep-alive pooling per address.
+//!   backend request, with keep-alive pooling per address, plus the
+//!   blocking [`client::request`] helper.
 //! - [`http1`] — resumable request/response parsers shared by both.
-//! - [`stats`] — the counters behind the `/metrics` `"net"` section.
+//! - [`stats`] — the workspace's one atomic histogram and the counters
+//!   behind the `/metrics` `"net"` section.
 
 #![deny(unsafe_code)] // `sys` is the sole, audited exception.
 

@@ -1,108 +1,119 @@
-//! Lock-free counters and histograms for the reactor.
+//! Lock-free histograms and the reactor's counters.
 //!
-//! Mirrors the shape of `traj_serve::metrics`: fixed-bucket histograms
-//! with atomic counts, rendered into a hand-built JSON object by the
-//! layer that owns the `/metrics` document. The reactor only mutates;
-//! rendering lives here so serve and the cluster router emit the same
-//! `"net"` section without duplicating the format.
+//! [`Histogram`] is the workspace's one atomic fixed-bucket histogram:
+//! the reactor records read/write stalls in it, and `traj-serve` its
+//! request latency, batch sizes, queue wait, fsyncs and the rest of its
+//! `/metrics` distributions. Every histogram renders one JSON shape
+//! ([`Histogram::render_json`]), so one parser reads them all. The
+//! reactor only mutates [`NetStats`]; rendering lives here so serve and
+//! the cluster router emit the same `"net"` section.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Microsecond bucket upper bounds for the stall histograms. Same
-/// ladder as serve's request-latency buckets: 50 µs to 1 s.
-pub const STALL_BOUNDS_US: [u64; 14] = [
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
+/// Microsecond bucket upper bounds (inclusive) shared by every latency
+/// histogram: 50 µs to 1 s.
+pub const LATENCY_BOUNDS_US: [u64; 14] = [
+    50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000,
     1_000_000,
 ];
 
-/// A fixed-bucket histogram with atomic counters.
+/// A fixed-bucket histogram with atomic counters. Values above the
+/// last bound land in an overflow bucket.
 #[derive(Debug)]
-pub struct Hist {
-    counts: [AtomicU64; STALL_BOUNDS_US.len()],
-    overflow: AtomicU64,
+pub struct Histogram {
+    bounds: &'static [u64],
+    /// One counter per bound, then the overflow bucket.
+    counts: Vec<AtomicU64>,
     total: AtomicU64,
     sum: AtomicU64,
 }
 
-impl Default for Hist {
+/// A latency histogram over [`LATENCY_BOUNDS_US`].
+impl Default for Histogram {
     fn default() -> Self {
-        Hist {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            overflow: AtomicU64::new(0),
+        Histogram::new(&LATENCY_BOUNDS_US)
+    }
+}
+
+impl Histogram {
+    /// An empty histogram over ascending, inclusive, non-empty `bounds`.
+    pub fn new(bounds: &'static [u64]) -> Histogram {
+        assert!(!bounds.is_empty(), "a histogram needs at least one bound");
+        Histogram {
+            bounds,
+            counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             total: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
-}
 
-impl Hist {
-    /// Records one observation in microseconds.
-    pub fn record(&self, us: u64) {
-        match STALL_BOUNDS_US.iter().position(|&b| us <= b) {
-            Some(i) => self.counts[i].fetch_add(1, Ordering::Relaxed),
-            None => self.overflow.fetch_add(1, Ordering::Relaxed),
-        };
+    /// Records one observation.
+    pub fn record(&self, value: u64) {
+        let bucket = self
+            .bounds
+            .iter()
+            .position(|&b| value <= b)
+            .unwrap_or(self.bounds.len());
+        self.counts[bucket].fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(us, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Number of recorded observations.
+    /// Number of observations.
     pub fn count(&self) -> u64 {
         self.total.load(Ordering::Relaxed)
     }
 
-    /// Approximate quantile: the upper bound of the bucket holding the
-    /// q-th observation (the serve convention). Returns 0 when empty.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        let total = self.total.load(Ordering::Relaxed);
-        if total == 0 {
+    /// Mean observation, or 0 with no data.
+    pub fn mean(&self) -> f64 {
+        let n = self.count();
+        if n == 0 {
+            0.0
+        } else {
+            self.sum.load(Ordering::Relaxed) as f64 / n as f64
+        }
+    }
+
+    /// Quantile estimate: the upper bound of the bucket holding the
+    /// q-th observation (`q` in `[0, 1]`). Returns 0 with no data;
+    /// values past the last bound report the last bound.
+    pub fn quantile(&self, q: f64) -> u64 {
+        let n = self.count();
+        if n == 0 {
             return 0;
         }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+        let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
         let mut seen = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
+        for (&bound, c) in self.bounds.iter().zip(&self.counts) {
             seen += c.load(Ordering::Relaxed);
             if seen >= rank {
-                return STALL_BOUNDS_US[i];
+                return bound;
             }
         }
-        // Rank lands in the overflow bucket: report the max observed
-        // scale we can honestly claim, the top bound.
-        STALL_BOUNDS_US[STALL_BOUNDS_US.len() - 1]
+        self.bounds[self.bounds.len() - 1]
     }
 
-    /// Mean in microseconds, 0 when empty.
-    pub fn mean_us(&self) -> u64 {
-        let total = self.total.load(Ordering::Relaxed);
-        if total == 0 {
-            return 0;
-        }
-        self.sum.load(Ordering::Relaxed) / total
-    }
-
-    fn render_json(&self) -> String {
-        let mut buckets = String::from("[");
-        for (i, c) in self.counts.iter().enumerate() {
-            if i > 0 {
-                buckets.push(',');
-            }
-            buckets.push_str(&format!(
-                "{{\"le_us\": {}, \"count\": {}}}",
-                STALL_BOUNDS_US[i],
-                c.load(Ordering::Relaxed)
-            ));
-        }
-        buckets.push(']');
-        format!(
-            "{{\"count\": {}, \"mean_us\": {}, \"p50_us\": {}, \"p99_us\": {}, \"overflow\": {}, \"buckets\": {}}}",
+    /// The histogram as `{"count", "mean", "p50", "p95", "p99",
+    /// "buckets": [{"le": bound, "count": n}, …, {"le": "inf", "count":
+    /// n}]}`, the mean to two decimals.
+    pub fn render_json(&self) -> String {
+        let mut out = format!(
+            "{{\"count\": {}, \"mean\": {:.2}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": [",
             self.count(),
-            self.mean_us(),
-            self.quantile_us(0.50),
-            self.quantile_us(0.99),
-            self.overflow.load(Ordering::Relaxed),
-            buckets
-        )
+            self.mean(),
+            self.quantile(0.50),
+            self.quantile(0.95),
+            self.quantile(0.99),
+        );
+        for (i, c) in self.counts.iter().enumerate() {
+            let n = c.load(Ordering::Relaxed);
+            match self.bounds.get(i) {
+                Some(bound) => out.push_str(&format!("{{\"le\": {bound}, \"count\": {n}}}, ")),
+                None => out.push_str(&format!("{{\"le\": \"inf\", \"count\": {n}}}]}}")),
+            }
+        }
+        out
     }
 }
 
@@ -143,9 +154,9 @@ pub struct NetStats {
     /// service finished.
     pub dropped_responses: AtomicU64,
     /// Wall time from first request byte to complete head+body.
-    pub request_read_us: Hist,
+    pub request_read_us: Histogram,
     /// Wall time from response queued to fully flushed.
-    pub response_write_us: Hist,
+    pub response_write_us: Histogram,
     /// Reactor start, for accepts/s.
     started: std::sync::OnceLock<Instant>,
 }
@@ -221,8 +232,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hist_quantiles_land_in_buckets() {
-        let h = Hist::default();
+    fn histogram_quantiles_land_in_buckets() {
+        let h = Histogram::default();
+        assert_eq!(h.quantile(0.50), 0);
         for _ in 0..90 {
             h.record(80); // ≤ 100 bucket
         }
@@ -230,18 +242,24 @@ mod tests {
             h.record(400_000); // ≤ 500_000 bucket
         }
         assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile_us(0.50), 100);
-        assert_eq!(h.quantile_us(0.99), 500_000);
-        assert!(h.mean_us() > 0);
+        assert_eq!(h.quantile(0.50), 100);
+        assert_eq!(h.quantile(0.99), 500_000);
+        assert!(h.mean() > 80.0);
     }
 
     #[test]
-    fn hist_overflow_counts() {
-        let h = Hist::default();
+    fn histogram_overflow_reports_last_bound_and_renders_inf() {
+        let h = Histogram::new(&[1, 2, 4]);
+        h.record(2);
         h.record(5_000_000);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.quantile_us(0.99), 1_000_000);
-        assert!(h.render_json().contains("\"overflow\": 1"));
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.quantile(0.99), 4);
+        assert_eq!(
+            h.render_json(),
+            "{\"count\": 2, \"mean\": 2500001.00, \"p50\": 2, \"p95\": 4, \"p99\": 4, \"buckets\": \
+             [{\"le\": 1, \"count\": 0}, {\"le\": 2, \"count\": 1}, {\"le\": 4, \"count\": 0}, \
+             {\"le\": \"inf\", \"count\": 1}]}"
+        );
     }
 
     #[test]

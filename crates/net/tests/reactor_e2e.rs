@@ -4,12 +4,13 @@
 //! (slow-loris, oversized heads/bodies, half-closes), graceful drain
 //! and the client multiplexer's pooling.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use traj_net::http1::{RespPoll, ResponseParser};
 use traj_net::{NetClient, ReactorConfig, ReactorHandle};
 
 /// Service that answers `{"path": ..., "len": body_len}` from a helper
@@ -44,41 +45,27 @@ fn small_timeouts() -> ReactorConfig {
     }
 }
 
-/// Sends one request on an existing stream and reads the full response
-/// head + body. Returns (status, body).
+/// Sends one request on an existing stream through the blocking client.
+/// Returns (status, body).
 fn roundtrip(stream: &mut TcpStream, path: &str, body: &str) -> (u16, String) {
-    let wire = traj_net::render_request("POST", path, Some(body));
-    stream.write_all(&wire).expect("write request");
-    read_response(stream)
+    traj_net::client::request(&mut BufReader::new(stream), "POST", path, Some(body))
+        .expect("roundtrip")
 }
 
-fn read_response<S: Read>(stream: &mut S) -> (u16, String) {
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("parse status");
-    let mut content_length = 0usize;
+/// Reads one response with the crate's own parser.
+fn read_response(stream: &mut TcpStream) -> (u16, String) {
+    let mut parser = ResponseParser::new(8 * 1024, 1 << 20);
+    let mut buf = [0u8; 4096];
     loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(value) = line
-            .strip_prefix("Content-Length:")
-            .or_else(|| line.strip_prefix("content-length:"))
-        {
-            content_length = value.trim().parse().expect("length");
+        let n = stream.read(&mut buf).expect("read response");
+        assert!(n > 0, "EOF before a full response");
+        parser.push(&buf[..n]);
+        match parser.poll() {
+            RespPoll::NeedMore => {}
+            RespPoll::Ready(r) => return (r.status, String::from_utf8(r.body).expect("utf8 body")),
+            RespPoll::Error(e) => panic!("malformed response: {e}"),
         }
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    (status, String::from_utf8(body).expect("utf8 body"))
 }
 
 #[test]

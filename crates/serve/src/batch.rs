@@ -41,34 +41,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use traj_ml::{PredictError, RowMatrix};
-use traj_sim::adaptive_batch_size;
-
-/// Request priority class, highest first. Mirrors
-/// `traj_sim::scheduler::Class` — the simulator's traffic classes are
-/// these, under the same drain and shed rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Priority {
-    /// `/predict` — a user is waiting.
-    Interactive = 0,
-    /// `/ingest` close-time predictions — work already paid for.
-    Close = 1,
-    /// `/predict_batch` — bulk scoring.
-    Bulk = 2,
-}
-
-impl Priority {
-    /// All classes, highest priority first (drain order).
-    pub const ALL: [Priority; 3] = [Priority::Interactive, Priority::Close, Priority::Bulk];
-
-    /// Display name used in metrics.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Priority::Interactive => "interactive",
-            Priority::Close => "close",
-            Priority::Bulk => "bulk",
-        }
-    }
-}
+use traj_sim::{adaptive_batch_size, Class};
 
 /// Which batching policy the flush thread runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,7 +267,7 @@ impl MicroBatcher {
         &self,
         model: Arc<LoadedModel>,
         row: Vec<f64>,
-        priority: Priority,
+        priority: Class,
     ) -> Result<Receiver<Result<Prediction, PredictError>>, ShedError> {
         let (reply, result) = sync_channel(1);
         let mut inner = self.shared.inner.lock().expect("batcher lock");
@@ -310,11 +283,11 @@ impl MicroBatcher {
         let cap = self.config.queue_cap;
         if cap > 0 {
             let limit = match priority {
-                Priority::Interactive => Some(cap),
+                Class::Interactive => Some(cap),
                 // Never shed close-time jobs: the stream engine already
                 // consumed the segment.
-                Priority::Close => None,
-                Priority::Bulk => Some((cap / 2).max(1)),
+                Class::Close => None,
+                Class::Bulk => Some((cap / 2).max(1)),
             };
             if limit.is_some_and(|l| inner.depth >= l) {
                 let retry_after = inner
@@ -412,7 +385,7 @@ fn batch_loop(shared: &Shared, config: BatchConfig, metrics: &ServeMetrics) {
                 }
             }
             SchedulerPolicy::Adaptive { max_batch } => {
-                let headroom = Priority::ALL
+                let headroom = Class::ALL
                     .iter()
                     .filter_map(|&p| inner.queues[p as usize].front())
                     .map(|job| job.deadline)
@@ -426,7 +399,7 @@ fn batch_loop(shared: &Shared, config: BatchConfig, metrics: &ServeMetrics) {
         };
 
         // Pop `take` jobs in priority order, recording queue wait.
-        for class in Priority::ALL {
+        for class in Class::ALL {
             while batch.len() < take {
                 let Some(job) = inner.queues[class as usize].pop_front() else {
                     break;
@@ -567,7 +540,7 @@ mod tests {
                     .submit(
                         Arc::clone(&model),
                         vec![i as f64 * 0.05; n_features],
-                        Priority::Interactive,
+                        Class::Interactive,
                     )
                     .expect("admitted")
             })
@@ -590,7 +563,7 @@ mod tests {
         let batcher = MicroBatcher::new(BatchConfig::default(), Arc::clone(&metrics));
 
         let bad = batcher
-            .submit(Arc::clone(&model), vec![0.0; 3], Priority::Interactive)
+            .submit(Arc::clone(&model), vec![0.0; 3], Class::Interactive)
             .expect("admitted");
         let err = bad.recv().expect("reply").expect_err("width mismatch");
         assert!(matches!(err, PredictError::WrongWidth { .. }), "{err:?}");
@@ -601,7 +574,7 @@ mod tests {
             .submit(
                 Arc::clone(&model),
                 vec![0.1; n_features],
-                Priority::Interactive,
+                Class::Interactive,
             )
             .expect("admitted");
         assert!(good.recv().expect("reply").is_ok());
@@ -624,7 +597,7 @@ mod tests {
             .submit(
                 Arc::clone(&model),
                 vec![0.1; n_features],
-                Priority::Interactive,
+                Class::Interactive,
             )
             .expect("typed reply, not a shed");
         assert_eq!(
@@ -654,7 +627,7 @@ mod tests {
             for _ in 0..8 {
                 let (reply, rx) = sync_channel(1);
                 let now = Instant::now();
-                inner.queues[Priority::Interactive as usize].push_back(Job {
+                inner.queues[Class::Interactive as usize].push_back(Job {
                     model: Arc::clone(&model),
                     row: vec![0.1; n_features],
                     reply,
@@ -667,17 +640,17 @@ mod tests {
             // Depth 8 = cap: bulk (limit 4) and interactive (limit 8)
             // must both shed; close must not.
             drop(inner);
-            let bulk = batcher.submit(Arc::clone(&model), vec![0.1; n_features], Priority::Bulk);
+            let bulk = batcher.submit(Arc::clone(&model), vec![0.1; n_features], Class::Bulk);
             assert!(bulk.is_err(), "bulk must shed at cap");
             let interactive = batcher.submit(
                 Arc::clone(&model),
                 vec![0.1; n_features],
-                Priority::Interactive,
+                Class::Interactive,
             );
             let shed = interactive.expect_err("interactive must shed at cap");
             assert!(shed.retry_after >= Duration::from_millis(1));
             let close = batcher
-                .submit(Arc::clone(&model), vec![0.1; n_features], Priority::Close)
+                .submit(Arc::clone(&model), vec![0.1; n_features], Class::Close)
                 .expect("close is never shed");
             receivers.push(close);
         }

@@ -39,7 +39,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use traj_geolife::{SynthConfig, SynthDataset};
-use traj_serve::http::client_request;
+use traj_net::client::request as client_request;
+use traj_sim::percentile_us;
 
 struct Args {
     targets: Vec<String>,
@@ -262,14 +263,6 @@ fn probe_idle_herd(herd: &mut IdleHerd) -> usize {
     alive
 }
 
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -361,7 +354,6 @@ fn main() -> ExitCode {
         bucket.latencies_us.extend(stats.latencies_us);
     }
     let elapsed = started.elapsed().as_secs_f64();
-    all.latencies_us.sort_unstable();
 
     let rps = all.requests as f64 / elapsed;
     let goodput = all.latencies_us.len() as f64 / elapsed;
@@ -374,9 +366,9 @@ fn main() -> ExitCode {
     );
     println!(
         "latency (2xx):     p50 {} µs   p95 {} µs   p99 {} µs",
-        percentile(&all.latencies_us, 0.50),
-        percentile(&all.latencies_us, 0.95),
-        percentile(&all.latencies_us, 0.99)
+        percentile_us(&mut all.latencies_us, 50.0),
+        percentile_us(&mut all.latencies_us, 95.0),
+        percentile_us(&mut all.latencies_us, 99.0)
     );
     println!("shed (429):        {:>10}", all.shed);
     println!("non-2xx (other):   {:>10}", all.non_2xx);
@@ -411,7 +403,6 @@ fn main() -> ExitCode {
     if args.targets.len() > 1 {
         println!("per-target:");
         for (target, stats) in per_target.iter_mut().enumerate() {
-            stats.latencies_us.sort_unstable();
             println!(
                 "  {:<24} goodput {:>8.1} req/s   shed {:>6}   non-2xx {:>4}   \
                  transport {:>4}   p95 {} µs",
@@ -420,7 +411,7 @@ fn main() -> ExitCode {
                 stats.shed,
                 stats.non_2xx,
                 stats.transport_errors,
-                percentile(&stats.latencies_us, 0.95),
+                percentile_us(&mut stats.latencies_us, 95.0),
             );
         }
     }

@@ -23,7 +23,8 @@ use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use traj_geolife::{SynthConfig, SynthDataset};
-use traj_serve::http::client_request;
+use traj_net::client::request as client_request;
+use traj_sim::percentile_us;
 
 struct Args {
     addr: String,
@@ -200,14 +201,6 @@ fn worker(addr: &str, bodies: &[(String, bool)]) -> WorkerStats {
     stats
 }
 
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -251,7 +244,6 @@ fn main() -> ExitCode {
         all.latencies_us.extend(stats.latencies_us);
     }
     let elapsed = started.elapsed().as_secs_f64();
-    all.latencies_us.sort_unstable();
 
     let pps = plan.total_points as f64 / elapsed;
     println!("points:            {:>10}", plan.total_points);
@@ -260,9 +252,9 @@ fn main() -> ExitCode {
     println!("predictions:       {:>10}", all.predictions);
     println!(
         "request latency:   p50 {} µs   p95 {} µs   p99 {} µs",
-        percentile(&all.latencies_us, 0.50),
-        percentile(&all.latencies_us, 0.95),
-        percentile(&all.latencies_us, 0.99)
+        percentile_us(&mut all.latencies_us, 50.0),
+        percentile_us(&mut all.latencies_us, 95.0),
+        percentile_us(&mut all.latencies_us, 99.0)
     );
     println!("non-2xx:           {:>10}", all.non_2xx);
     println!("transport errors:  {:>10}", all.transport_errors);

@@ -5,9 +5,9 @@
 //! the paper's offline evaluation stops short of.
 //!
 //! The crate is dependency-light by construction (the workspace builds
-//! offline): the HTTP server sits directly on `std::net::TcpListener`
-//! with a fixed worker pool, and all JSON goes through the workspace's
-//! serde stack.
+//! offline): connections live in the [`traj_net`] epoll reactor, which
+//! hands each complete request to a worker pool (one worker per core by
+//! default), and all JSON goes through the workspace's serde stack.
 //!
 //! * [`artifact`] — the trained-model bundle: classifier + selected
 //!   feature names + Min–Max parameters + label scheme, one JSON file.
@@ -17,11 +17,9 @@
 //!   function of one segment, shared by training and serving.
 //! * [`server`] — `POST /predict`, `POST /predict_batch`,
 //!   `GET /healthz`, `GET /metrics`.
-//! * [`batch`] — micro-batching (flush on size or delay) behind
-//!   `/predict_batch`.
+//! * [`batch`] — SLO-aware micro-batching with admission control behind
+//!   every prediction: `/predict`, `/predict_batch` and `/ingest` closes.
 //! * [`metrics`] — lock-free counters and latency/batch histograms.
-//! * [`http`] — minimal HTTP/1.1 framing with body-size caps, plus the
-//!   blocking client the load generator and tests use.
 //!
 //! ```no_run
 //! use traj_serve::artifact::{ModelArtifact, TrainSpec};
@@ -43,7 +41,6 @@
 pub mod artifact;
 pub mod batch;
 pub mod featurize;
-pub mod http;
 pub mod metrics;
 pub mod registry;
 pub mod server;

@@ -1,18 +1,15 @@
 //! Lock-free serving metrics: request/error counters, latency and
 //! batch-size histograms, and per-model prediction counters.
 //!
-//! Everything is atomics over fixed bucket layouts, so the hot path never
-//! takes a lock; `/metrics` renders a JSON snapshot with percentiles
-//! estimated from the histogram buckets (upper-bound interpolation).
+//! Everything is atomics over fixed bucket layouts
+//! ([`traj_net::stats::Histogram`]), so the hot path never takes a lock;
+//! `/metrics` renders a JSON snapshot with percentiles estimated from
+//! the histogram buckets (upper-bound interpolation).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Upper bounds (inclusive) of the latency buckets, in microseconds.
-const LATENCY_BOUNDS_US: [u64; 14] = [
-    50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000,
-    1_000_000,
-];
+use traj_net::stats::{Histogram, LATENCY_BOUNDS_US};
+use traj_sim::Class;
 
 /// Upper bounds (inclusive) of the batch-size buckets.
 const BATCH_BOUNDS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
@@ -23,85 +20,6 @@ const BATCH_BOUNDS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 const DRIFT_BOUNDS_PPM: [u64; 10] = [
     1, 10, 100, 1_000, 5_000, 10_000, 50_000, 100_000, 150_000, 250_000,
 ];
-
-/// A fixed-bucket histogram with atomic counters.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: &'static [u64],
-    counts: Vec<AtomicU64>,
-    /// Overflow bucket for values above the last bound.
-    overflow: AtomicU64,
-    total: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Histogram {
-    pub(crate) fn new(bounds: &'static [u64]) -> Histogram {
-        Histogram {
-            bounds,
-            counts: bounds.iter().map(|_| AtomicU64::new(0)).collect(),
-            overflow: AtomicU64::new(0),
-            total: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&self, value: u64) {
-        match self.bounds.iter().position(|&b| value <= b) {
-            Some(i) => self.counts[i].fetch_add(1, Ordering::Relaxed),
-            None => self.overflow.fetch_add(1, Ordering::Relaxed),
-        };
-        self.total.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Mean observation, or 0 with no data.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum.load(Ordering::Relaxed) as f64 / n as f64
-        }
-    }
-
-    /// Quantile estimate: the upper bound of the bucket holding the
-    /// q-th observation (`q` in `[0, 1]`). Returns 0 with no data; values
-    /// past the last bound report the last bound.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
-        let mut seen = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c.load(Ordering::Relaxed);
-            if seen >= rank {
-                return self.bounds[i];
-            }
-        }
-        *self.bounds.last().expect("non-empty bounds")
-    }
-
-    /// `[bound, count]` pairs including the overflow bucket (bound 0).
-    fn snapshot(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = self
-            .bounds
-            .iter()
-            .zip(&self.counts)
-            .map(|(&b, c)| (b, c.load(Ordering::Relaxed)))
-            .collect();
-        out.push((0, self.overflow.load(Ordering::Relaxed)));
-        out
-    }
-}
 
 /// Streaming-ingestion metrics (`POST /ingest` and the idle sweeper).
 ///
@@ -197,15 +115,11 @@ impl IngestMetrics {
     fn render_json(&self) -> String {
         let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
         let points = self.points_total.load(Ordering::Relaxed);
-        let lat = &self.close_latency_us;
-        let drift = &self.sketch_drift_ppm;
         format!(
             "{{\"points_total\": {}, \"points_dropped\": {}, \"points_per_sec\": {:.1}, \
              \"open_sessions\": {}, \"state_bytes\": {}, \"segments_closed\": {}, \
              \"segments_discarded\": {}, \"evictions\": {}, \"exact_closes\": {}, \
-             \"sketch_closes\": {}, \
-             \"close_latency_us\": {{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": {}}}, \
-             \"sketch_drift_ppm\": {{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, \"p99\": {}, \"buckets\": {}}}}}",
+             \"sketch_closes\": {}, \"close_latency_us\": {}, \"sketch_drift_ppm\": {}}}",
             points,
             self.points_dropped.load(Ordering::Relaxed),
             points as f64 / elapsed,
@@ -216,17 +130,8 @@ impl IngestMetrics {
             self.evictions.load(Ordering::Relaxed),
             self.exact_closes.load(Ordering::Relaxed),
             self.sketch_closes.load(Ordering::Relaxed),
-            lat.count(),
-            lat.mean(),
-            lat.quantile(0.50),
-            lat.quantile(0.95),
-            lat.quantile(0.99),
-            render_buckets(&lat.snapshot()),
-            drift.count(),
-            drift.mean(),
-            drift.quantile(0.50),
-            drift.quantile(0.99),
-            render_buckets(&drift.snapshot()),
+            self.close_latency_us.render_json(),
+            self.sketch_drift_ppm.render_json(),
         )
     }
 }
@@ -369,19 +274,15 @@ impl DurabilityMetrics {
         if !self.is_enabled() {
             return "{\"enabled\": false}".to_owned();
         }
-        let fsync = &self.fsync_us;
-        let snap = &self.snapshot_write_us;
         let age = self
             .snapshot_age_s()
             .map_or("null".to_owned(), |s| s.to_string());
         format!(
             "{{\"enabled\": true, \"wal_last_lsn\": {}, \"wal_segments\": {}, \
              \"wal_live_bytes\": {}, \"wal_appended_records\": {}, \"wal_appended_bytes\": {}, \
-             \"wal_syncs\": {}, \"wal_append_errors\": {}, \
-             \"fsync_us\": {{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": {}}}, \
+             \"wal_syncs\": {}, \"wal_append_errors\": {}, \"fsync_us\": {}, \
              \"snapshots_written\": {}, \"snapshot_errors\": {}, \"snapshot_lsn\": {}, \
-             \"snapshot_sessions\": {}, \"snapshot_age_s\": {}, \
-             \"snapshot_write_us\": {{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, \"p99\": {}}}, \
+             \"snapshot_sessions\": {}, \"snapshot_age_s\": {}, \"snapshot_write_us\": {}, \
              \"recovery\": {{\"sessions\": {}, \"wal_records_applied\": {}, \"elapsed_ms\": {}, \"diagnostics\": {}}}}}",
             self.wal_last_lsn.load(Ordering::Relaxed),
             self.wal_segments.load(Ordering::Relaxed),
@@ -390,21 +291,13 @@ impl DurabilityMetrics {
             self.wal_appended_bytes.load(Ordering::Relaxed),
             self.wal_syncs.load(Ordering::Relaxed),
             self.wal_append_errors.load(Ordering::Relaxed),
-            fsync.count(),
-            fsync.mean(),
-            fsync.quantile(0.50),
-            fsync.quantile(0.95),
-            fsync.quantile(0.99),
-            render_buckets(&fsync.snapshot()),
+            self.fsync_us.render_json(),
             self.snapshots_written.load(Ordering::Relaxed),
             self.snapshot_errors.load(Ordering::Relaxed),
             self.snapshot_lsn.load(Ordering::Relaxed),
             self.snapshot_sessions.load(Ordering::Relaxed),
             age,
-            snap.count(),
-            snap.mean(),
-            snap.quantile(0.50),
-            snap.quantile(0.99),
+            self.snapshot_write_us.render_json(),
             self.recovered_sessions.load(Ordering::Relaxed),
             self.recovered_records.load(Ordering::Relaxed),
             self.recovery_ms.load(Ordering::Relaxed),
@@ -415,7 +308,7 @@ impl DurabilityMetrics {
 
 /// Scheduler metrics: batch-queue wait, deadline misses against the
 /// configured SLO, and admission-control sheds per priority class.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SchedulerMetrics {
     /// Time jobs spent in the batch queue before being flushed, µs.
     pub queue_wait_us: Histogram,
@@ -433,23 +326,12 @@ pub struct SchedulerMetrics {
 }
 
 impl SchedulerMetrics {
-    fn new() -> SchedulerMetrics {
-        SchedulerMetrics {
-            queue_wait_us: Histogram::new(&LATENCY_BOUNDS_US),
-            deadline_misses: AtomicU64::new(0),
-            shed_interactive: AtomicU64::new(0),
-            shed_close: AtomicU64::new(0),
-            shed_bulk: AtomicU64::new(0),
-            shutdown_rejects: AtomicU64::new(0),
-        }
-    }
-
-    /// Counts one admission rejection for `priority`.
-    pub fn record_shed(&self, priority: crate::batch::Priority) {
-        match priority {
-            crate::batch::Priority::Interactive => &self.shed_interactive,
-            crate::batch::Priority::Close => &self.shed_close,
-            crate::batch::Priority::Bulk => &self.shed_bulk,
+    /// Counts one admission rejection for `class`.
+    pub fn record_shed(&self, class: Class) {
+        match class {
+            Class::Interactive => &self.shed_interactive,
+            Class::Close => &self.shed_close,
+            Class::Bulk => &self.shed_bulk,
         }
         .fetch_add(1, Ordering::Relaxed);
     }
@@ -462,17 +344,11 @@ impl SchedulerMetrics {
     }
 
     fn render_json(&self) -> String {
-        let wait = &self.queue_wait_us;
         format!(
-            "{{\"queue_wait_us\": {{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": {}}}, \
+            "{{\"queue_wait_us\": {}, \
              \"deadline_misses\": {}, \"shed_interactive\": {}, \"shed_close\": {}, \
              \"shed_bulk\": {}, \"shutdown_rejects\": {}}}",
-            wait.count(),
-            wait.mean(),
-            wait.quantile(0.50),
-            wait.quantile(0.95),
-            wait.quantile(0.99),
-            render_buckets(&wait.snapshot()),
+            self.queue_wait_us.render_json(),
             self.deadline_misses.load(Ordering::Relaxed),
             self.shed_interactive.load(Ordering::Relaxed),
             self.shed_close.load(Ordering::Relaxed),
@@ -517,7 +393,7 @@ impl ServeMetrics {
             responses_5xx: AtomicU64::new(0),
             latency_us: Histogram::new(&LATENCY_BOUNDS_US),
             batch_size: Histogram::new(&BATCH_BOUNDS),
-            scheduler: SchedulerMetrics::new(),
+            scheduler: SchedulerMetrics::default(),
             ingest: IngestMetrics::new(),
             durability: DurabilityMetrics::new(),
             per_model: model_names
@@ -563,7 +439,6 @@ impl ServeMetrics {
     /// `traj_net::NetStats::render_json`). Rendering stays string-based
     /// so the reactor crate needs no dependency on this one.
     pub fn render_json_with_net(&self, shard: Option<&str>, net: Option<&str>) -> String {
-        let lat = &self.latency_us;
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
         if let Some(label) = shard {
@@ -577,23 +452,9 @@ impl ServeMetrics {
             self.responses_5xx.load(Ordering::Relaxed),
         ));
         out.push_str(&format!(
-            "  \"latency_us\": {{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": {}}},\n",
-            lat.count(),
-            lat.mean(),
-            lat.quantile(0.50),
-            lat.quantile(0.95),
-            lat.quantile(0.99),
-            render_buckets(&lat.snapshot()),
-        ));
-        let batch = &self.batch_size;
-        out.push_str(&format!(
-            "  \"batch_size\": {{\"count\": {}, \"mean\": {:.2}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": {}}},\n",
-            batch.count(),
-            batch.mean(),
-            batch.quantile(0.50),
-            batch.quantile(0.95),
-            batch.quantile(0.99),
-            render_buckets(&batch.snapshot()),
+            "  \"latency_us\": {},\n  \"batch_size\": {},\n",
+            self.latency_us.render_json(),
+            self.batch_size.render_json(),
         ));
         out.push_str(&format!(
             "  \"scheduler\": {},\n",
@@ -625,43 +486,9 @@ impl ServeMetrics {
     }
 }
 
-/// Buckets as a JSON array of `{"le": bound, "count": n}` (the overflow
-/// bucket renders `"le": "inf"`).
-fn render_buckets(snapshot: &[(u64, u64)]) -> String {
-    let mut out = String::from("[");
-    for (i, &(bound, count)) in snapshot.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        if bound == 0 {
-            out.push_str(&format!("{{\"le\": \"inf\", \"count\": {count}}}"));
-        } else {
-            out.push_str(&format!("{{\"le\": {bound}, \"count\": {count}}}"));
-        }
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_quantiles_track_buckets() {
-        let h = Histogram::new(&LATENCY_BOUNDS_US);
-        assert_eq!(h.quantile(0.5), 0);
-        for v in [40, 40, 40, 40, 40, 40, 40, 40, 40, 9_000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 10);
-        assert_eq!(h.quantile(0.5), 50);
-        assert_eq!(h.quantile(0.99), 10_000);
-        assert!(h.mean() > 40.0);
-        // Overflow values clamp to the last bound.
-        h.record(10_000_000);
-        assert_eq!(h.quantile(1.0), 1_000_000);
-    }
 
     #[test]
     fn metrics_render_valid_json_with_counters() {
@@ -676,5 +503,61 @@ mod tests {
         assert!(text.contains("\"requests_total\":2"));
         assert!(text.contains("\"rf\":3"));
         assert!(text.contains("\"responses_4xx\":1"));
+    }
+
+    #[test]
+    fn every_histogram_in_the_document_has_one_shape() {
+        use serde::Value;
+        let m = ServeMetrics::new(&["rf".to_owned()]);
+        m.durability.enable();
+        m.record_response(200, 750);
+        m.batch_size.record(3);
+        m.scheduler.queue_wait_us.record(120);
+        m.ingest.record_close(Some(900), false, Some(0.002));
+        m.durability.fsync_us.record(5_000_000); // overflow bucket
+        m.durability.record_snapshot(7, 2, 300);
+        let net = traj_net::NetStats::new();
+        net.request_read_us.record(40);
+        let doc = m.render_json_with_net(None, Some(&net.render_json()));
+        let doc = serde_json::parse_value(&doc).expect("valid JSON");
+
+        let get = |v: &'static str, from: &Value| match from {
+            Value::Map(m) => serde::map_get(m, v).cloned(),
+            _ => None,
+        };
+        let is_num =
+            |v: Option<Value>| matches!(v, Some(Value::Int(_) | Value::UInt(_) | Value::Float(_)));
+        for path in [
+            &["latency_us"][..],
+            &["batch_size"],
+            &["scheduler", "queue_wait_us"],
+            &["ingest", "close_latency_us"],
+            &["ingest", "sketch_drift_ppm"],
+            &["durability", "fsync_us"],
+            &["durability", "snapshot_write_us"],
+            &["net", "request_read_us"],
+            &["net", "response_write_us"],
+        ] {
+            let h = path
+                .iter()
+                .try_fold(doc.clone(), |v, key| get(key, &v))
+                .unwrap_or_else(|| panic!("{path:?} missing"));
+            for key in ["count", "mean", "p50", "p95", "p99"] {
+                assert!(is_num(get(key, &h)), "{path:?}.{key} not numeric");
+            }
+            let Some(Value::Seq(buckets)) = get("buckets", &h) else {
+                panic!("{path:?}.buckets missing");
+            };
+            let (last, finite) = buckets.split_last().expect("overflow bucket");
+            let inf = Some(Value::Str("inf".to_owned()));
+            assert_eq!(get("le", last), inf, "{path:?}");
+            assert!(is_num(get("count", last)), "{path:?} overflow count");
+            for b in finite {
+                assert!(
+                    is_num(get("le", b)) && is_num(get("count", b)),
+                    "{path:?} {b:?}"
+                );
+            }
+        }
     }
 }

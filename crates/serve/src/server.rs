@@ -28,8 +28,7 @@
 //! background sweeper closes idle sessions on the configured interval.
 
 use crate::artifact::ModelArtifact;
-use crate::batch::{BatchConfig, MicroBatcher, Priority};
-use crate::http::Request;
+use crate::batch::{BatchConfig, MicroBatcher};
 use crate::metrics::ServeMetrics;
 use crate::registry::{LoadedModel, ModelRegistry, Prediction};
 use serde::{Deserialize, Serialize};
@@ -42,6 +41,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use traj_ml::PredictError;
+use traj_sim::Class;
 pub use traj_wal::FsyncPolicy;
 use traj_wal::{SnapshotStore, Wal, WalConfig};
 
@@ -379,9 +379,9 @@ impl From<(u16, String)> for Response {
 /// an explicit drain they answer 503 so a cluster router can steer
 /// around this shard. Health, metrics and the admin surface always
 /// answer — a draining shard must still serve handoff exports.
-fn route(state: &AppState, request: &Request) -> Response {
+fn route(state: &AppState, method: &str, path: &str, body: &[u8]) -> Response {
     let ready = state.ready.load(Ordering::SeqCst);
-    match (request.method.as_str(), request.path.as_str()) {
+    match (method, path) {
         ("GET", "/healthz") => handle_healthz(state, ready).into(),
         ("GET", "/readyz") => handle_readyz(state, ready).into(),
         ("GET", "/metrics") => {
@@ -400,20 +400,16 @@ fn route(state: &AppState, request: &Request) -> Response {
             body: error_body("server is not ready (starting or draining); retry"),
             retry_after: Some(Duration::from_secs(1)),
         },
-        ("POST", "/predict") => handle_predict(state, &request.body),
-        ("POST", "/predict_batch") => handle_predict_batch(state, &request.body),
-        ("POST", "/ingest") => handle_ingest(state, &request.body).into(),
-        ("POST", "/admin/artifact/stage") => handle_artifact_stage(state, &request.body).into(),
-        ("POST", "/admin/artifact/promote") => {
-            handle_artifact_rollout(state, &request.body, true).into()
-        }
-        ("POST", "/admin/artifact/rollback") => {
-            handle_artifact_rollout(state, &request.body, false).into()
-        }
+        ("POST", "/predict") => handle_predict(state, body),
+        ("POST", "/predict_batch") => handle_predict_batch(state, body),
+        ("POST", "/ingest") => handle_ingest(state, body).into(),
+        ("POST", "/admin/artifact/stage") => handle_artifact_stage(state, body).into(),
+        ("POST", "/admin/artifact/promote") => handle_artifact_rollout(state, body, true).into(),
+        ("POST", "/admin/artifact/rollback") => handle_artifact_rollout(state, body, false).into(),
         ("GET", "/admin/sessions") => handle_sessions(state).into(),
-        ("POST", "/admin/handoff/export") => handle_handoff_export(state, &request.body).into(),
-        ("POST", "/admin/handoff/import") => handle_handoff_import(state, &request.body).into(),
-        ("POST", "/admin/handoff/evict") => handle_handoff_evict(state, &request.body).into(),
+        ("POST", "/admin/handoff/export") => handle_handoff_export(state, body).into(),
+        ("POST", "/admin/handoff/import") => handle_handoff_import(state, body).into(),
+        ("POST", "/admin/handoff/evict") => handle_handoff_evict(state, body).into(),
         ("POST", "/admin/drain") => {
             state.ready.store(false, Ordering::SeqCst);
             (200, "{\"ready\": false}".to_owned()).into()
@@ -498,7 +494,7 @@ fn handle_predict(state: &AppState, body: &[u8]) -> Response {
     // records the per-model prediction count at flush time.
     let rx = match state
         .batcher
-        .submit(Arc::clone(&model), row, Priority::Interactive)
+        .submit(Arc::clone(&model), row, Class::Interactive)
     {
         Ok(rx) => rx,
         Err(shed) => return shed_response(shed.retry_after),
@@ -552,15 +548,10 @@ fn handle_predict_batch(state: &AppState, body: &[u8]) -> Response {
     for dtos in &parsed.segments {
         let points = points_of(dtos);
         match model.features_of_points(&points) {
-            Ok(row) => {
-                match state
-                    .batcher
-                    .submit(Arc::clone(&model), row, Priority::Bulk)
-                {
-                    Ok(rx) => pending.push(Pending::Waiting(rx)),
-                    Err(shed) => return shed_response(shed.retry_after),
-                }
-            }
+            Ok(row) => match state.batcher.submit(Arc::clone(&model), row, Class::Bulk) {
+                Ok(rx) => pending.push(Pending::Waiting(rx)),
+                Err(shed) => return shed_response(shed.retry_after),
+            },
             Err(msg) => pending.push(Pending::Failed(msg)),
         }
     }
@@ -695,7 +686,7 @@ fn ingest_apply(
         };
         match state
             .batcher
-            .submit(Arc::clone(model), scaled, Priority::Close)
+            .submit(Arc::clone(model), scaled, Class::Close)
         {
             Ok(rx) => waiting.push(rx),
             // Unreachable by policy (close is never shed); fail loudly
@@ -1038,13 +1029,7 @@ impl ServerHandle {
     /// gating and metrics as the HTTP surface; returns `(status, body)`.
     pub fn dispatch(&self, method: &str, path: &str, body: &[u8]) -> (u16, String) {
         let started = Instant::now();
-        let request = Request {
-            method: method.to_owned(),
-            path: path.to_owned(),
-            body: body.to_vec(),
-            keep_alive: true,
-        };
-        let response = route(&self.state, &request);
+        let response = route(&self.state, method, path, body);
         self.state
             .metrics
             .record_response(response.status, started.elapsed().as_micros() as u64);
@@ -1335,13 +1320,7 @@ impl traj_net::Service for ServeService {
         let started = Instant::now();
         let state = Arc::clone(&self.state);
         self.runtime.spawn(move || {
-            let request = Request {
-                method: request.method,
-                path: request.path,
-                body: request.body,
-                keep_alive: request.keep_alive,
-            };
-            let response = route(&state, &request);
+            let response = route(&state, &request.method, &request.path, &request.body);
             state
                 .metrics
                 .record_response(response.status, started.elapsed().as_micros() as u64);
@@ -1354,10 +1333,10 @@ impl traj_net::Service for ServeService {
 mod tests {
     use super::*;
     use crate::artifact::{ModelArtifact, TrainSpec};
-    use crate::http::client_request;
     use std::io::BufReader as ClientBufReader;
     use std::net::TcpStream;
     use traj_geolife::{SynthConfig, SynthDataset};
+    use traj_net::client::request as client_request;
 
     fn test_registry() -> (ModelRegistry, Vec<traj_geo::Segment>) {
         let segs = SynthDataset::generate(&SynthConfig {

@@ -7,8 +7,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use traj_geolife::{SynthConfig, SynthDataset};
+use traj_net::client::request as client_request;
 use traj_serve::artifact::{ModelArtifact, TrainSpec};
-use traj_serve::http::client_request;
 use traj_serve::registry::ModelRegistry;
 use traj_serve::server::{serve, ServerConfig, ServerHandle};
 

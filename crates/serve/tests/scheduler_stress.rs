@@ -11,12 +11,13 @@ use std::time::{Duration, Instant};
 use traj_geo::Segment;
 use traj_geolife::{SynthConfig, SynthDataset};
 use traj_ml::compiled::PredictError;
+use traj_net::client::request as client_request;
 use traj_serve::artifact::{ModelArtifact, TrainSpec, MIN_SEGMENT_POINTS};
-use traj_serve::batch::{BatchConfig, MicroBatcher, Priority, SchedulerPolicy};
-use traj_serve::http::client_request;
+use traj_serve::batch::{BatchConfig, MicroBatcher, SchedulerPolicy};
 use traj_serve::metrics::ServeMetrics;
 use traj_serve::registry::{LoadedModel, ModelRegistry};
 use traj_serve::server::{serve, ServerConfig};
+use traj_sim::Class;
 
 fn synth_segments(seed: u64) -> Vec<Segment> {
     SynthDataset::generate(&SynthConfig {
@@ -79,7 +80,7 @@ fn every_admitted_job_is_answered_exactly_once_under_shutdown_races() {
             std::thread::spawn(move || {
                 for i in 0..JOBS_PER_THREAD {
                     let row = vec![(t * JOBS_PER_THREAD + i) as f64 * 1e-3; n_features];
-                    match batcher.submit(Arc::clone(&model), row, Priority::Interactive) {
+                    match batcher.submit(Arc::clone(&model), row, Class::Interactive) {
                         Err(_) => {
                             shed.fetch_add(1, Ordering::Relaxed);
                         }
@@ -156,7 +157,7 @@ fn shutdown_drains_queued_jobs_with_typed_errors() {
                 .submit(
                     Arc::clone(&model),
                     vec![i as f64 * 0.01; n_features],
-                    Priority::Bulk,
+                    Class::Bulk,
                 )
                 .expect("admitted")
         })

@@ -11,8 +11,8 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use traj_geo::Segment;
 use traj_geolife::{SynthConfig, SynthDataset};
+use traj_net::client::request as client_request;
 use traj_serve::artifact::{ModelArtifact, TrainSpec, MIN_SEGMENT_POINTS};
-use traj_serve::http::client_request;
 use traj_serve::registry::ModelRegistry;
 use traj_serve::server::{serve, DurabilityConfig, ServerConfig, ServerHandle};
 

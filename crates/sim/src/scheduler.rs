@@ -13,8 +13,8 @@
 
 use crate::service::ServiceModel;
 
-/// Request priority class, highest first. Mirrors
-/// `traj_serve::batch::Priority`.
+/// Request priority class, highest first: the classes both this
+/// simulator and `traj_serve::batch` schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Class {
     /// `/predict` — a user is waiting.

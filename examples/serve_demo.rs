@@ -9,8 +9,8 @@
 
 use std::io::BufReader;
 use std::net::TcpStream;
+use traj_net::client::request as client_request;
 use traj_serve::artifact::{ModelArtifact, TrainSpec, MIN_SEGMENT_POINTS};
-use traj_serve::http::client_request;
 use traj_serve::registry::ModelRegistry;
 use traj_serve::server::{serve, ServerConfig};
 use trajlib::prelude::*;
