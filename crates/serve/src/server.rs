@@ -242,9 +242,16 @@ fn predict_error_status(e: PredictError) -> u16 {
     }
 }
 
-fn points_of(dtos: &[PointDto]) -> Vec<traj_geo::TrajectoryPoint> {
+/// The request's GPS fixes, each checked by `TrajectoryPoint::try_new`
+/// (finite, lat in [-90, 90], lon in [-180, 180]) before any featurizer,
+/// batcher or session sees it.
+fn points_of(dtos: &[PointDto]) -> Result<Vec<traj_geo::TrajectoryPoint>, String> {
     dtos.iter()
-        .map(|p| traj_geo::TrajectoryPoint::new(p.lat, p.lon, traj_geo::Timestamp(p.t)))
+        .enumerate()
+        .map(|(i, p)| {
+            traj_geo::TrajectoryPoint::try_new(p.lat, p.lon, traj_geo::Timestamp(p.t))
+                .map_err(|e| format!("point {i}: {e}"))
+        })
         .collect()
 }
 
@@ -484,8 +491,7 @@ fn handle_predict(state: &AppState, body: &[u8]) -> Response {
     let Some(model) = state.model(parsed.model.as_deref()) else {
         return (404, error_body("unknown model")).into();
     };
-    let points = points_of(&parsed.points);
-    let row = match model.features_of_points(&points) {
+    let row = match points_of(&parsed.points).and_then(|points| model.features_of_points(&points)) {
         Ok(row) => row,
         Err(msg) => return (422, error_body(&msg)).into(),
     };
@@ -546,8 +552,7 @@ fn handle_predict_batch(state: &AppState, body: &[u8]) -> Response {
     }
     let mut pending = Vec::with_capacity(parsed.segments.len());
     for dtos in &parsed.segments {
-        let points = points_of(dtos);
-        match model.features_of_points(&points) {
+        match points_of(dtos).and_then(|points| model.features_of_points(&points)) {
             Ok(row) => match state.batcher.submit(Arc::clone(&model), row, Class::Bulk) {
                 Ok(rx) => pending.push(Pending::Waiting(rx)),
                 Err(shed) => return shed_response(shed.retry_after),
@@ -637,7 +642,12 @@ fn handle_ingest(state: &AppState, body: &[u8]) -> (u16, String) {
         );
     }
 
-    let response = ingest_apply(state, &parsed, &model, started);
+    let points = match points_of(&parsed.points) {
+        Ok(points) => points,
+        Err(msg) => return (422, error_body(&msg)),
+    };
+
+    let response = ingest_apply(state, &parsed, &points, &model, started);
     // Record only now that the engine mutated state; the pure-read
     // failures above are safe to re-attempt verbatim.
     if let Some(key) = parsed.idem {
@@ -657,12 +667,12 @@ fn handle_ingest(state: &AppState, body: &[u8]) -> (u16, String) {
 fn ingest_apply(
     state: &AppState,
     parsed: &IngestRequest,
+    points: &[traj_geo::TrajectoryPoint],
     model: &Arc<LoadedModel>,
     started: Instant,
 ) -> (u16, String) {
-    let points = points_of(&parsed.points);
     let flush = parsed.flush.unwrap_or(false);
-    let report = state.engine.ingest(parsed.user, &points, flush);
+    let report = state.engine.ingest(parsed.user, points, flush);
     if let Some(msg) = &report.wal_error {
         // The in-memory state advanced but the WAL rejected the records:
         // the accepted points are NOT durable. Fail the request so the
@@ -1365,6 +1375,18 @@ mod tests {
         format!("{{\"points\":[{}]}}", points.join(","))
     }
 
+    /// An `/ingest` body for `user` carrying `segment`'s points.
+    fn ingest_body_of(segment: &traj_geo::Segment, user: u32) -> String {
+        body_of(segment).replacen('{', &format!("{{\"user\":{user},"), 1)
+    }
+
+    /// `body` with the first point's latitude written as `lat`.
+    fn with_first_lat(body: &str, segment: &traj_geo::Segment, lat: &str) -> String {
+        let first = format!("\"lat\":{}", segment.points[0].lat);
+        assert!(body.contains(&first));
+        body.replacen(&first, &format!("\"lat\":{lat}"), 1)
+    }
+
     #[test]
     fn server_round_trips_predict_and_metrics() {
         let (registry, segs) = test_registry();
@@ -1686,6 +1708,75 @@ mod tests {
             .expect("predict_batch");
         assert_eq!(status, 409, "{body}");
 
+        handle.stop().expect("stop");
+    }
+
+    #[test]
+    fn ingest_out_of_range_point_is_422_and_the_user_keeps_streaming() {
+        let (registry, segs) = test_registry();
+        let mut handle = serve("127.0.0.1:0", registry, ServerConfig::default()).expect("bind");
+        let seg = segs.iter().find(|s| s.len() >= 10).expect("long segment");
+        let body = ingest_body_of(seg, 5);
+        let bad = with_first_lat(&body, seg, "1000");
+        let (status, reply) = handle.dispatch("POST", "/ingest", bad.as_bytes());
+        assert_eq!(status, 422, "{reply}");
+        assert!(reply.contains("latitude"), "{reply}");
+        let (_, sessions) = handle.dispatch("GET", "/admin/sessions", b"");
+        assert!(
+            !sessions.contains("[5]"),
+            "no point reached the engine: {sessions}"
+        );
+
+        let (status, reply) = handle.dispatch("POST", "/ingest", body.as_bytes());
+        assert_eq!(status, 200, "{reply}");
+        handle.stop().expect("stop");
+    }
+
+    #[test]
+    fn predict_out_of_range_point_is_422() {
+        let (registry, segs) = test_registry();
+        let mut handle = serve("127.0.0.1:0", registry, ServerConfig::default()).expect("bind");
+        let seg = segs.iter().find(|s| s.len() >= 10).expect("long segment");
+        let body = body_of(seg);
+        let bad = with_first_lat(&body, seg, "1000");
+        let (status, reply) = handle.dispatch("POST", "/predict", bad.as_bytes());
+        assert_eq!(status, 422, "{reply}");
+        assert!(reply.contains("latitude"), "{reply}");
+
+        // In a batch, only the bad segment's own item carries the error.
+        let points = |b: &str| b["{\"points\":".len()..b.len() - 1].to_owned();
+        let batch = format!("{{\"segments\":[{},{}]}}", points(&bad), points(&body));
+        let (status, reply) = handle.dispatch("POST", "/predict_batch", batch.as_bytes());
+        assert_eq!(status, 200, "{reply}");
+        let doc = serde_json::parse_value(&reply).expect("valid JSON");
+        let serde::Value::Map(doc) = doc else {
+            panic!("{reply}")
+        };
+        let Some(serde::Value::Seq(results)) = serde::map_get(&doc, "results") else {
+            panic!("{reply}")
+        };
+        let error = |i: usize| match &results[i] {
+            serde::Value::Map(item) => serde::map_get(item, "error").cloned(),
+            _ => None,
+        };
+        assert!(matches!(error(0), Some(serde::Value::Str(e)) if e.contains("latitude")));
+        assert_eq!(error(1), Some(serde::Value::Null), "{reply}");
+        handle.stop().expect("stop");
+    }
+
+    #[test]
+    fn ingest_overflowing_latitude_is_400_and_ingest_keeps_serving() {
+        // `1e400` used to decode to +inf and panic a session's quantile
+        // sketch while it held the engine shard's lock, poisoning
+        // `/ingest` for every user.
+        let (registry, segs) = test_registry();
+        let mut handle = serve("127.0.0.1:0", registry, ServerConfig::default()).expect("bind");
+        let seg = segs.iter().find(|s| s.len() >= 10).expect("long segment");
+        let bad = with_first_lat(&ingest_body_of(seg, 1), seg, "1e400");
+        let (status, reply) = handle.dispatch("POST", "/ingest", bad.as_bytes());
+        assert_eq!(status, 400, "{reply}");
+        let (status, reply) = handle.dispatch("POST", "/ingest", ingest_body_of(seg, 2).as_bytes());
+        assert_eq!(status, 200, "{reply}");
         handle.stop().expect("stop");
     }
 }

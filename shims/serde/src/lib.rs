@@ -2,15 +2,21 @@
 //! uses.
 //!
 //! The build environment has no crates.io access, so the workspace ships
-//! its own serialisation stack. Unlike real serde's visitor-based zero-copy
-//! design, this shim is value-based: [`Serialize`] renders a type into the
-//! [`Value`] tree and [`Deserialize`] reads one back. The `serde_json`
-//! shim converts between [`Value`] and JSON text. The derive macros
-//! (re-exported from `serde_derive`) generate the same externally-tagged
-//! representation real serde produces for the shapes this repo declares,
-//! so existing JSON artifacts keep their format.
+//! its own serialisation stack. [`Serialize`] renders a type into the
+//! [`Value`] tree, which the `serde_json` shim writes as text.
+//! [`Deserialize`] has two ways back from JSON, both over the one byte
+//! reader in [`json`]: `read_json` decodes straight from the bytes
+//! (derived structs, `Vec`, `Option`, `Box`, `String` and the scalars
+//! override it), and its default parses a [`Value`] subtree and calls
+//! `from_value` (enums, maps, tuples, `Value` itself and hand-written
+//! impls). The derive macros (re-exported from `serde_derive`) generate
+//! the same externally-tagged representation real serde produces for the
+//! shapes this repo declares, so existing JSON artifacts keep their
+//! format.
 
 #![forbid(unsafe_code)]
+
+pub mod json;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -60,16 +66,24 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Types restorable from a [`Value`].
+/// Types restorable from a [`Value`] or straight from JSON.
 pub trait Deserialize: Sized {
     /// Reads an instance back from the data model.
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// Decodes the JSON value at the reader's cursor. The default parses
+    /// it into a [`Value`] and calls [`Deserialize::from_value`]; a direct
+    /// decoder must accept exactly what that path accepts, with the same
+    /// result.
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        Self::from_value(&r.parse_value()?)
+    }
 }
 
 /// Compatibility alias module mirroring `serde::de`.
 pub mod de {
-    /// Real serde distinguishes borrowing deserialisers; the value-based
-    /// shim has no borrowed variant, so `DeserializeOwned` is the trait.
+    /// Real serde distinguishes borrowing deserialisers; the shim has no
+    /// borrowed variant, so `DeserializeOwned` is the trait.
     pub use crate::Deserialize as DeserializeOwned;
 }
 
@@ -104,6 +118,10 @@ impl Deserialize for Value {
     fn from_value(value: &Value) -> Result<Self, Error> {
         Ok(value.clone())
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        r.parse_value()
+    }
 }
 
 impl Serialize for bool {
@@ -118,6 +136,11 @@ impl Deserialize for bool {
             Value::Bool(b) => Ok(*b),
             _ => Err(Error::msg("expected a boolean")),
         }
+    }
+
+    #[inline]
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        Self::from_value(&r.scalar()?)
     }
 }
 
@@ -137,6 +160,11 @@ macro_rules! impl_signed {
                     _ => return Err(Error::msg("expected an integer")),
                 };
                 <$t>::try_from(n).map_err(|_| Error::msg("integer out of range"))
+            }
+
+            #[inline]
+            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+                Self::from_value(&r.scalar()?)
             }
         }
     )*};
@@ -161,6 +189,11 @@ macro_rules! impl_unsigned {
                 };
                 <$t>::try_from(n).map_err(|_| Error::msg("integer out of range"))
             }
+
+            #[inline]
+            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+                Self::from_value(&r.scalar()?)
+            }
         }
     )*};
 }
@@ -182,6 +215,11 @@ impl Deserialize for f64 {
             _ => Err(Error::msg("expected a number")),
         }
     }
+
+    #[inline]
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        Self::from_value(&r.scalar()?)
+    }
 }
 
 impl Serialize for f32 {
@@ -193,6 +231,11 @@ impl Serialize for f32 {
 impl Deserialize for f32 {
     fn from_value(v: &Value) -> Result<Self, Error> {
         f64::from_value(v).map(|x| x as f32)
+    }
+
+    #[inline]
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        Self::from_value(&r.scalar()?)
     }
 }
 
@@ -207,6 +250,13 @@ impl Deserialize for String {
         match v {
             Value::Str(s) => Ok(s.clone()),
             _ => Err(Error::msg("expected a string")),
+        }
+    }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        match r.scalar()? {
+            Value::Str(s) => Ok(s),
+            other => Self::from_value(&other),
         }
     }
 }
@@ -250,6 +300,10 @@ impl<T: Deserialize> Deserialize for Box<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         T::from_value(v).map(Box::new)
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        T::read_json(r).map(Box::new)
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -266,6 +320,14 @@ impl<T: Deserialize> Deserialize for Option<T> {
         match v {
             Value::Null => Ok(None),
             other => T::from_value(other).map(Some),
+        }
+    }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::read_json(r).map(Some)
         }
     }
 }
@@ -288,6 +350,15 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             Value::Seq(items) => items.iter().map(T::from_value).collect(),
             _ => Err(Error::msg("expected an array")),
         }
+    }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        r.begin_array()?;
+        let mut items = Vec::new();
+        while r.next_element()? {
+            items.push(T::read_json(r)?);
+        }
+        Ok(items)
     }
 }
 

@@ -12,8 +12,12 @@
 //!   tuple/newtype variants (externally tagged: `{"Variant": value}`),
 //! * one generic type parameter list without bounds or where-clauses.
 //!
-//! Generated code targets the value-based data model of the `serde` shim
-//! (`to_value`/`from_value`), which `serde_json` then renders.
+//! `Serialize` renders into the `serde` shim's `Value` tree
+//! (`to_value`). `Deserialize` always gets `from_value`; named-field and
+//! newtype structs also get a single-pass `read_json` over the shim's
+//! JSON reader, which pulls each field straight from the bytes. Enums
+//! and multi-field tuple structs keep the trait's default `read_json`,
+//! which parses a `Value` subtree and calls `from_value`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -506,9 +510,70 @@ fn gen_deserialize(item: &Item) -> String {
             )
         }
     };
+    // Other shapes keep the trait's default `read_json`.
+    let read_json = match &item.kind {
+        Kind::Struct(fields) => Some(gen_read_json_struct(name, fields)),
+        Kind::TupleStruct(1) => Some(format!(
+            "::std::result::Result::Ok({name}(::serde::Deserialize::read_json(__r)?))"
+        )),
+        _ => None,
+    }
+    .map_or(String::new(), |body| {
+        format!(
+            "fn read_json(__r: &mut ::serde::json::Reader<'_>) \
+             -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n"
+        )
+    });
     format!(
         "impl{decl} ::serde::Deserialize for {name}{args} {{\n\
          fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-         {body}\n}}\n}}\n"
+         {body}\n}}\n{read_json}}}\n"
+    )
+}
+
+/// The single-pass decoder of a named-field struct. Each field collects
+/// into an `Option` local whose type the closing struct literal fixes.
+/// As with `from_value`'s `map_get`, the first occurrence of a key wins;
+/// later duplicates and unknown keys are skipped, still fully validated.
+fn gen_read_json_struct(name: &str, fields: &[(String, bool)]) -> String {
+    let locals: String = (0..fields.len())
+        .map(|i| format!("let mut __f{i} = ::std::option::Option::None;\n"))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, (f, _))| {
+            format!(
+                "\"{f}\" if __f{i}.is_none() => __f{i} = \
+                 ::std::option::Option::Some(::serde::Deserialize::read_json(__r)?),\n"
+            )
+        })
+        .collect();
+    let inits: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, (f, has_default))| {
+            let missing = if *has_default {
+                "::std::default::Default::default()".to_string()
+            } else {
+                format!("::serde::missing_field(\"{f}\")?")
+            };
+            format!(
+                "{f}: match __f{i} {{ ::std::option::Option::Some(x) => x, \
+                 ::std::option::Option::None => {missing} }},\n"
+            )
+        })
+        .collect();
+    let entries = if fields.is_empty() {
+        "while __r.next_key()?.is_some() { __r.skip_value()?; }".to_string()
+    } else {
+        format!(
+            "while let ::std::option::Option::Some(__key) = __r.next_key()? {{\n\
+             match &*__key {{\n{arms}_ => __r.skip_value()?,\n}}\n}}"
+        )
+    };
+    format!(
+        "{locals}__r.begin_object()?;\n{entries}\n\
+         ::std::result::Result::Ok({name} {{\n{inits}}})"
     )
 }

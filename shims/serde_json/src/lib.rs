@@ -1,30 +1,30 @@
 //! Offline drop-in replacement for the subset of `serde_json` this
-//! workspace uses: [`to_string`], [`to_string_pretty`], [`from_str`].
+//! workspace uses: [`to_string`], [`to_string_pretty`], [`from_str`] and
+//! [`parse_value`].
 //!
-//! Works over the value-based data model of the workspace `serde` shim.
+//! The writer renders the `serde` shim's [`Value`] tree. Reading is the
+//! shim's one byte reader, `serde::json::Reader`: [`from_str`] lets the
+//! target type decode straight from the bytes through
+//! `Deserialize::read_json` (types without a direct decoder parse a
+//! [`Value`] subtree there and convert it), and [`parse_value`] builds the
+//! whole tree. Both reject trailing input.
+//!
 //! Floating-point round-trips are bit-exact: the writer uses Rust's
-//! shortest-round-trip float formatting and the parser is `str::parse`,
+//! shortest-round-trip float formatting and the reader is `str::parse`,
 //! which is correctly rounding — the pair the real crate's
 //! `float_roundtrip` feature guarantees (`tests/model_persistence.rs`
-//! relies on this).
-//!
-//! The parser is strict (no trailing garbage, no comments, no NaN
-//! literals) and depth-limited so untrusted request bodies — the serving
-//! stack parses those — cannot overflow the stack.
+//! relies on this). The reader is strict (RFC 8259 numbers and escapes,
+//! no comments, no NaN literals) and depth-limited so untrusted request
+//! bodies — the serving stack parses those — cannot overflow the stack.
 
 #![forbid(unsafe_code)]
 
+use serde::json::Reader;
 use serde::{Deserialize, Serialize, Value};
 
 /// Parse/serialise error.
 #[derive(Debug, Clone)]
 pub struct Error(String);
-
-impl Error {
-    fn new(msg: impl Into<String>) -> Error {
-        Error(msg.into())
-    }
-}
 
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -43,9 +43,6 @@ impl From<serde::Error> for Error {
 /// Result alias mirroring `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Maximum container nesting depth the parser accepts.
-const MAX_DEPTH: usize = 128;
-
 /// Serialises `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
@@ -62,21 +59,15 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 
 /// Parses `text` into a `T`, rejecting malformed JSON and trailing input.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T> {
-    let value = parse_value(text)?;
-    Ok(T::from_value(&value)?)
+    let mut reader = Reader::new(text);
+    let value = T::read_json(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
 }
 
 /// Parses `text` into the shim's [`Value`] tree.
 pub fn parse_value(text: &str) -> Result<Value> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    let value = parse_at(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(Error::new(format!("trailing characters at byte {pos}")));
-    }
-    Ok(value)
+    from_str(text)
 }
 
 // ------------------------------------------------------------------ writer
@@ -166,223 +157,6 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-// ------------------------------------------------------------------ parser
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_at(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value> {
-    if depth > MAX_DEPTH {
-        return Err(Error::new("JSON nesting too deep"));
-    }
-    match bytes.get(*pos) {
-        None => Err(Error::new("unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(c) => Err(Error::new(format!(
-            "unexpected character {:?} at byte {}",
-            *c as char, *pos
-        ))),
-    }
-}
-
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Value) -> Result<Value> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(Error::new(format!("invalid literal at byte {}", *pos)))
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value> {
-    *pos += 1; // '{'
-    let mut entries = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Map(entries));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b':') => *pos += 1,
-            _ => return Err(Error::new(format!("expected ':' at byte {}", *pos))),
-        }
-        skip_ws(bytes, pos);
-        let value = parse_at(bytes, pos, depth + 1)?;
-        entries.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Map(entries));
-            }
-            _ => return Err(Error::new(format!("expected ',' or '}}' at byte {}", *pos))),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Seq(items));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        items.push(parse_at(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Seq(items));
-            }
-            _ => return Err(Error::new(format!("expected ',' or ']' at byte {}", *pos))),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(Error::new(format!("expected string at byte {}", *pos)));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(Error::new("unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hi = parse_hex4(bytes, pos)?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: expect \uXXXX low half.
-                            if bytes.get(*pos + 1) != Some(&b'\\')
-                                || bytes.get(*pos + 2) != Some(&b'u')
-                            {
-                                return Err(Error::new("unpaired surrogate"));
-                            }
-                            *pos += 2;
-                            let lo = parse_hex4(bytes, pos)?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(Error::new("invalid low surrogate"));
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else {
-                            hi
-                        };
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| Error::new("invalid unicode escape"))?,
-                        );
-                    }
-                    _ => return Err(Error::new("invalid escape sequence")),
-                }
-                *pos += 1;
-            }
-            Some(&c) if c < 0x20 => {
-                return Err(Error::new("unescaped control character in string"))
-            }
-            Some(_) => {
-                // Advance one UTF-8 character.
-                let rest = &bytes[*pos..];
-                let len = utf8_len(rest[0]);
-                let chunk = rest
-                    .get(..len)
-                    .ok_or_else(|| Error::new("truncated UTF-8 sequence"))?;
-                let s = std::str::from_utf8(chunk)
-                    .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                out.push_str(s);
-                *pos += len;
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        b if b < 0x80 => 1,
-        b if b < 0xE0 => 2,
-        b if b < 0xF0 => 3,
-        _ => 4,
-    }
-}
-
-/// Reads the `XXXX` of a `\uXXXX` escape; `pos` is on the `u` on entry and
-/// on the last hex digit on exit (the caller advances past it).
-fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32> {
-    let start = *pos + 1;
-    let chunk = bytes
-        .get(start..start + 4)
-        .ok_or_else(|| Error::new("truncated unicode escape"))?;
-    let s = std::str::from_utf8(chunk).map_err(|_| Error::new("invalid unicode escape"))?;
-    let code = u32::from_str_radix(s, 16).map_err(|_| Error::new("invalid unicode escape"))?;
-    *pos = start + 3;
-    Ok(code)
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut is_float = false;
-    while let Some(&c) = bytes.get(*pos) {
-        match c {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
-        }
-    }
-    let text =
-        std::str::from_utf8(&bytes[start..*pos]).map_err(|_| Error::new("invalid number"))?;
-    if text.is_empty() || text == "-" {
-        return Err(Error::new(format!("invalid number at byte {start}")));
-    }
-    if !is_float {
-        if let Ok(n) = text.parse::<i64>() {
-            return Ok(Value::Int(n));
-        }
-        if let Ok(n) = text.parse::<u64>() {
-            return Ok(Value::UInt(n));
-        }
-    }
-    text.parse::<f64>()
-        .map(Value::Float)
-        .map_err(|_| Error::new(format!("invalid number {text:?}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,6 +216,80 @@ mod tests {
         assert!(parse_value("{\"a\" 1}").is_err());
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(parse_value(&deep).is_err());
+    }
+
+    #[test]
+    fn numbers_and_escapes_follow_rfc_8259() {
+        // (input, what both `parse_value` and the direct decoders read).
+        let cases: &[(&str, Option<Value>)] = &[
+            ("0", Some(Value::Int(0))),
+            ("10", Some(Value::Int(10))),
+            ("-7", Some(Value::Int(-7))),
+            ("18446744073709551615", Some(Value::UInt(u64::MAX))),
+            ("99999999999999999999", Some(Value::Float(1e20))),
+            ("1.5", Some(Value::Float(1.5))),
+            ("-0.25", Some(Value::Float(-0.25))),
+            ("0.0", Some(Value::Float(0.0))),
+            ("1e5", Some(Value::Float(1e5))),
+            ("1E+5", Some(Value::Float(1e5))),
+            ("2.5e-3", Some(Value::Float(2.5e-3))),
+            ("1e-400", Some(Value::Float(0.0))),
+            ("01", None),
+            ("-01", None),
+            ("00", None),
+            ("1.", None),
+            (".5", None),
+            ("-.5", None),
+            ("1.e5", None),
+            ("1e", None),
+            ("1e+", None),
+            ("+1", None),
+            ("-", None),
+            ("--1", None),
+            ("0x10", None),
+            ("1e400", None),
+            ("-1e400", None),
+            (&"9".repeat(400), None),
+            ("NaN", None),
+            ("Infinity", None),
+            (r#""\u0041""#, Some(Value::Str("A".into()))),
+            (r#""\u00e9\u00E9""#, Some(Value::Str("éé".into()))),
+            (r#""\ud83d\ude00""#, Some(Value::Str("😀".into()))),
+            (r#""\u+041""#, None),
+            (r#""\u-041""#, None),
+            (r#""\u 041""#, None),
+            (r#""\u004""#, None),
+            (r#""\u004g""#, None),
+            (r#""\ud83d""#, None),
+            (r#""\x41""#, None),
+        ];
+        for (input, want) in cases {
+            let got = parse_value(input).ok();
+            assert_eq!(&got, want, "parse_value({input})");
+            match want {
+                Some(Value::Str(s)) => assert_eq!(from_str::<String>(input).ok().as_ref(), Some(s)),
+                Some(v) => {
+                    let want = f64::from_value(v).unwrap();
+                    let got = from_str::<f64>(input).expect(input);
+                    assert_eq!(got.to_bits(), want.to_bits(), "from_str::<f64>({input})");
+                }
+                None if input.starts_with('"') => {
+                    assert!(
+                        from_str::<String>(input).is_err(),
+                        "from_str::<String>({input})"
+                    );
+                }
+                None => {
+                    assert!(from_str::<f64>(input).is_err(), "from_str::<f64>({input})");
+                    assert!(
+                        from_str::<Vec<f64>>(&format!("[{input}]")).is_err(),
+                        "[{input}]"
+                    );
+                }
+            }
+        }
+        let err = parse_value("1e400").unwrap_err().to_string();
+        assert!(err.contains("number out of range"), "{err}");
     }
 
     #[test]

@@ -201,3 +201,110 @@ fn pipeline_config_round_trips() {
     let restored: PipelineConfig = serde_json::from_str(&json).unwrap();
     assert_eq!(config, restored);
 }
+
+#[test]
+fn served_predict_matches_in_process_model_bit_for_bit() {
+    // The benchmark's verification pass in small: the server loads saved
+    // artifacts and decodes request bodies written with `Display`, as
+    // clients write them; class and scores must equal the in-process
+    // model's on the same points, bit for bit. The forest is the model
+    // the benchmark serves; the SVM's softmax scores move with the last
+    // bit of any feature, so a float-parse or artifact-decode drift
+    // fails here.
+    use serde::Deserialize;
+    use std::fmt::Write as _;
+    use traj_serve::artifact::MIN_SEGMENT_POINTS;
+    use traj_serve::{serve, LoadedModel, ModelArtifact, ModelRegistry, ServerConfig, TrainSpec};
+    use trajlib::ml::ClassifierKind;
+
+    let training = SynthDataset::generate(&SynthConfig {
+        n_users: 5,
+        segments_per_user: (6, 9),
+        seed: 31,
+        ..SynthConfig::default()
+    });
+    let dir = std::env::temp_dir().join("trajlib_model_persistence_served_predict");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut models = Vec::new();
+    for (name, kind) in [
+        ("rf", ClassifierKind::RandomForest),
+        ("svm", ClassifierKind::Svm),
+    ] {
+        let spec = TrainSpec {
+            kind,
+            seed: 7,
+            ..TrainSpec::paper_default(name)
+        };
+        let artifact = ModelArtifact::train(&spec, &training.segments).expect("train");
+        artifact
+            .save(&dir.join(format!("{name}.json")))
+            .expect("save");
+        models.push((name, LoadedModel::new(artifact).expect("in-process model")));
+    }
+    let mut registry = ModelRegistry::new();
+    registry.load_dir(&dir).expect("load_dir");
+    let mut handle = serve(
+        "127.0.0.1:0",
+        registry,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+
+    let requests = SynthDataset::generate(&SynthConfig {
+        n_users: 12,
+        segments_per_user: (1, 1),
+        seed: 4,
+        max_points_per_segment: 300,
+        ..SynthConfig::default()
+    });
+    let mut checked = 0;
+    for segment in requests
+        .segments
+        .iter()
+        .filter(|s| s.len() >= MIN_SEGMENT_POINTS)
+    {
+        let mut points = String::new();
+        for (i, p) in segment.points.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            write!(
+                points,
+                "{sep}{{\"lat\":{},\"lon\":{},\"t\":{}}}",
+                p.lat, p.lon, p.t.0
+            )
+            .unwrap();
+        }
+        for (name, model) in &models {
+            let body = format!("{{\"model\":\"{name}\",\"points\":[{points}]}}");
+            let (status, reply) = handle.dispatch("POST", "/predict", body.as_bytes());
+            assert_eq!(status, 200, "{reply}");
+
+            let want = model.predict_points(&segment.points).expect("predict");
+            let doc = serde_json::parse_value(&reply).expect("reply is JSON");
+            let serde::Value::Map(doc) = doc else {
+                panic!("{reply}")
+            };
+            let class = serde::map_get(&doc, "class").expect("class");
+            assert_eq!(
+                usize::from_value(class).unwrap(),
+                want.class,
+                "{name}: {reply}"
+            );
+            let Some(serde::Value::Seq(scores)) = serde::map_get(&doc, "scores") else {
+                panic!("{reply}")
+            };
+            let got: Vec<u64> = scores
+                .iter()
+                .map(|s| f64::from_value(s).unwrap().to_bits())
+                .collect();
+            let want: Vec<u64> = want.scores.iter().map(|s| s.to_bits()).collect();
+            assert_eq!(got, want, "{name}: {reply}");
+        }
+        checked += 1;
+    }
+    assert!(checked >= 8, "only {checked} segments long enough");
+    handle.stop().expect("stop");
+    std::fs::remove_dir_all(&dir).ok();
+}
