@@ -4,11 +4,12 @@
 //! `serde_json::from_str::<T>` hands a [`Reader`] to
 //! [`Deserialize::read_json`](crate::Deserialize::read_json). Types with
 //! a direct decoder (derived named-field and newtype structs, `Vec`,
-//! `Option`, `Box`, `String`, `bool`, the integers and the floats) pull
-//! their tokens straight from the bytes. Every other type reads its
-//! subtree with [`Reader::parse_value`] and converts the [`Value`] with
-//! `from_value`. Both paths run on this tokenizer and share one nesting
-//! count, so they accept exactly the same documents.
+//! `Option` and `Box`) walk their containers straight off the bytes.
+//! Every other type reads its value with [`Reader::parse_value`] and
+//! converts the [`Value`] with `from_value`; for a scalar such as an
+//! `f64` field that is one token and no tree. Both paths run on this
+//! tokenizer and share one nesting count, so they accept exactly the
+//! same documents.
 //!
 //! The grammar is strict: no trailing bytes, comments or NaN literals,
 //! numbers only in the RFC 8259 §6 form and finite as `f64`, exactly
@@ -25,7 +26,7 @@ const MAX_DEPTH: usize = 128;
 /// A cursor over one JSON document.
 ///
 /// Objects are read as `begin_object`, then `next_key` until it returns
-/// `None`, reading or skipping one value after each key; arrays as
+/// `None`, reading one value after each key; arrays as
 /// `begin_array`, then `next_element` until it returns `false`, reading
 /// one value after each `true`.
 pub struct Reader<'a> {
@@ -91,37 +92,6 @@ impl<'a> Reader<'a> {
                 Value::Seq(items)
             }
         })
-    }
-
-    /// Reads past one whole value, validating it as [`Self::parse_value`]
-    /// would but building nothing.
-    pub fn skip_value(&mut self) -> Result<(), Error> {
-        match self.token()? {
-            Token::Scalar(_) | Token::Str(_) => {}
-            Token::Object => {
-                while self.next_key()?.is_some() {
-                    self.skip_value()?;
-                }
-            }
-            Token::Array => {
-                while self.next_element()? {
-                    self.skip_value()?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Reads a `null`, boolean, number or string as the [`Value`] that
-    /// [`Self::parse_value`] would build for it.
-    #[inline]
-    pub fn scalar(&mut self) -> Result<Value, Error> {
-        match self.token()? {
-            Token::Scalar(v) => Ok(v),
-            Token::Str(s) => Ok(Value::Str(s.into_owned())),
-            Token::Object => Err(Error::msg("expected a scalar, found an object")),
-            Token::Array => Err(Error::msg("expected a scalar, found an array")),
-        }
     }
 
     /// Consumes the next value if it is `null`.

@@ -5,14 +5,13 @@
 //! its own serialisation stack. [`Serialize`] renders a type into the
 //! [`Value`] tree, which the `serde_json` shim writes as text.
 //! [`Deserialize`] has two ways back from JSON, both over the one byte
-//! reader in [`json`]: `read_json` decodes straight from the bytes
-//! (derived structs, `Vec`, `Option`, `Box`, `String` and the scalars
-//! override it), and its default parses a [`Value`] subtree and calls
-//! `from_value` (enums, maps, tuples, `Value` itself and hand-written
-//! impls). The derive macros (re-exported from `serde_derive`) generate
-//! the same externally-tagged representation real serde produces for the
-//! shapes this repo declares, so existing JSON artifacts keep their
-//! format.
+//! reader in [`json`]: derived structs, `Vec`, `Option` and `Box`
+//! override `read_json` to walk their containers straight off the bytes,
+//! and its default parses a [`Value`] and calls `from_value` (scalars,
+//! enums, maps, tuples and hand-written impls). The derive macros
+//! (re-exported from `serde_derive`) generate the same externally-tagged
+//! representation real serde produces for the shapes this repo declares,
+//! so existing JSON artifacts keep their format.
 
 #![forbid(unsafe_code)]
 
@@ -137,11 +136,6 @@ impl Deserialize for bool {
             _ => Err(Error::msg("expected a boolean")),
         }
     }
-
-    #[inline]
-    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
-        Self::from_value(&r.scalar()?)
-    }
 }
 
 macro_rules! impl_signed {
@@ -160,11 +154,6 @@ macro_rules! impl_signed {
                     _ => return Err(Error::msg("expected an integer")),
                 };
                 <$t>::try_from(n).map_err(|_| Error::msg("integer out of range"))
-            }
-
-            #[inline]
-            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
-                Self::from_value(&r.scalar()?)
             }
         }
     )*};
@@ -189,11 +178,6 @@ macro_rules! impl_unsigned {
                 };
                 <$t>::try_from(n).map_err(|_| Error::msg("integer out of range"))
             }
-
-            #[inline]
-            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
-                Self::from_value(&r.scalar()?)
-            }
         }
     )*};
 }
@@ -215,11 +199,6 @@ impl Deserialize for f64 {
             _ => Err(Error::msg("expected a number")),
         }
     }
-
-    #[inline]
-    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
-        Self::from_value(&r.scalar()?)
-    }
 }
 
 impl Serialize for f32 {
@@ -231,11 +210,6 @@ impl Serialize for f32 {
 impl Deserialize for f32 {
     fn from_value(v: &Value) -> Result<Self, Error> {
         f64::from_value(v).map(|x| x as f32)
-    }
-
-    #[inline]
-    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
-        Self::from_value(&r.scalar()?)
     }
 }
 
@@ -254,7 +228,7 @@ impl Deserialize for String {
     }
 
     fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
-        match r.scalar()? {
+        match r.parse_value()? {
             Value::Str(s) => Ok(s),
             other => Self::from_value(&other),
         }

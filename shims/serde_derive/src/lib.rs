@@ -409,15 +409,11 @@ fn gen_deserialize(item: &Item) -> String {
             let inits: String = fields
                 .iter()
                 .map(|(f, has_default)| {
-                    let missing = if *has_default {
-                        "::std::default::Default::default()".to_string()
-                    } else {
-                        format!("::serde::missing_field(\"{f}\")?")
-                    };
                     format!(
                         "{f}: match ::serde::map_get(m, \"{f}\") {{ \
                          ::std::option::Option::Some(x) => ::serde::Deserialize::from_value(x)?, \
-                         ::std::option::Option::None => {missing} }},\n"
+                         ::std::option::Option::None => {} }},\n",
+                        missing_expr(f, *has_default)
                     )
                 })
                 .collect();
@@ -479,8 +475,8 @@ fn gen_deserialize(item: &Item) -> String {
                                     "{f}: match ::serde::map_get(m2, \"{f}\") {{ \
                                      ::std::option::Option::Some(x) => \
                                      ::serde::Deserialize::from_value(x)?, \
-                                     ::std::option::Option::None => \
-                                     ::serde::missing_field(\"{f}\")? }},"
+                                     ::std::option::Option::None => {} }},",
+                                    missing_expr(f, false)
                                 )
                             })
                             .collect();
@@ -531,10 +527,21 @@ fn gen_deserialize(item: &Item) -> String {
     )
 }
 
+/// The value of field `f` when its key is absent: `Default` under
+/// `#[serde(default)]`, else whatever `missing_field` makes of it.
+fn missing_expr(f: &str, has_default: bool) -> String {
+    if has_default {
+        "::std::default::Default::default()".to_string()
+    } else {
+        format!("::serde::missing_field(\"{f}\")?")
+    }
+}
+
 /// The single-pass decoder of a named-field struct. Each field collects
 /// into an `Option` local whose type the closing struct literal fixes.
 /// As with `from_value`'s `map_get`, the first occurrence of a key wins;
-/// later duplicates and unknown keys are skipped, still fully validated.
+/// later duplicates and unknown keys are parsed and dropped, so they are
+/// still fully validated.
 fn gen_read_json_struct(name: &str, fields: &[(String, bool)]) -> String {
     let locals: String = (0..fields.len())
         .map(|i| format!("let mut __f{i} = ::std::option::Option::None;\n"))
@@ -553,23 +560,19 @@ fn gen_read_json_struct(name: &str, fields: &[(String, bool)]) -> String {
         .iter()
         .enumerate()
         .map(|(i, (f, has_default))| {
-            let missing = if *has_default {
-                "::std::default::Default::default()".to_string()
-            } else {
-                format!("::serde::missing_field(\"{f}\")?")
-            };
             format!(
                 "{f}: match __f{i} {{ ::std::option::Option::Some(x) => x, \
-                 ::std::option::Option::None => {missing} }},\n"
+                 ::std::option::Option::None => {} }},\n",
+                missing_expr(f, *has_default)
             )
         })
         .collect();
     let entries = if fields.is_empty() {
-        "while __r.next_key()?.is_some() { __r.skip_value()?; }".to_string()
+        "while __r.next_key()?.is_some() { __r.parse_value()?; }".to_string()
     } else {
         format!(
             "while let ::std::option::Option::Some(__key) = __r.next_key()? {{\n\
-             match &*__key {{\n{arms}_ => __r.skip_value()?,\n}}\n}}"
+             match &*__key {{\n{arms}_ => {{ __r.parse_value()?; }}\n}}\n}}"
         )
     };
     format!(
