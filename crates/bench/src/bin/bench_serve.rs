@@ -33,7 +33,7 @@ use traj_geolife::{SynthConfig, SynthDataset};
 use traj_ml::RowMatrix;
 use traj_net::client::request as client_request;
 use traj_serve::artifact::{ModelArtifact, TrainSpec, MIN_SEGMENT_POINTS};
-use traj_serve::batch::{BatchConfig, SchedulerPolicy};
+use traj_serve::batch::BatchConfig;
 use traj_serve::registry::{LoadedModel, ModelRegistry};
 use traj_serve::server::{serve, ServerConfig};
 use traj_sim::{ArrivalProcess, SchedulerKind, ServiceModel, Sim, SimConfig};
@@ -300,9 +300,9 @@ fn main() {
     let real_fixed = drive(
         "fixed",
         BatchConfig {
+            policy: SchedulerKind::FIXED_BASELINE,
             slo,
             queue_cap,
-            ..BatchConfig::fixed_baseline()
         },
         registry_with(&artifact),
         &body,
@@ -316,7 +316,7 @@ fn main() {
     let real_adaptive = drive(
         "adaptive",
         BatchConfig {
-            policy: SchedulerPolicy::Adaptive { max_batch: 128 },
+            policy: SchedulerKind::Adaptive { max_batch: 128 },
             slo,
             queue_cap,
         },
@@ -367,10 +367,7 @@ fn main() {
     let sim_duration = if smoke { 2.0 } else { 10.0 };
     let slo_us = slo.as_micros() as u64;
     let sim_fixed = simulate(
-        SchedulerKind::Fixed {
-            max_batch: 32,
-            max_delay_us: 2_000,
-        },
+        SchedulerKind::FIXED_BASELINE,
         service,
         clients,
         slo_us,

@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 use traj_cluster::{ClusterConfig, ClusterRouter, HttpBackend};
 use traj_serve::artifact::{ModelArtifact, TrainSpec};
-use traj_serve::batch::SchedulerPolicy;
+use traj_serve::batch::SchedulerKind;
 use traj_serve::featurize::ServeFeatureSet;
 use traj_serve::registry::ModelRegistry;
 use traj_serve::server::{serve, DurabilityConfig, ServerConfig};
@@ -355,12 +355,12 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         Some(other) => return Err(format!("unknown --scheduler {other:?}; use fixed|adaptive")),
     };
     config.batch.policy = if fixed {
-        SchedulerPolicy::Fixed {
+        SchedulerKind::Fixed {
             max_batch,
-            max_delay: Duration::from_millis(parsed(opts, "batch-delay-ms", 2)?),
+            max_delay_us: parsed::<u64>(opts, "batch-delay-ms", 2)?.saturating_mul(1_000),
         }
     } else {
-        SchedulerPolicy::Adaptive { max_batch }
+        SchedulerKind::Adaptive { max_batch }
     };
     config.batch.slo =
         Duration::from_millis(parsed(opts, "slo-ms", config.batch.slo.as_millis() as u64)?);

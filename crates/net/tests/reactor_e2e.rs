@@ -186,12 +186,20 @@ fn mid_body_disconnect_cleans_up_connection_state() {
     }
     let stats = handle.stats();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    // Wait until the connection was seen at all, then until it's gone —
-    // polling for zero alone would pass before the accept happens.
-    while stats.accepts.load(Ordering::Relaxed) == 0
-        || stats.open_connections.load(Ordering::Relaxed) != 0
-    {
-        assert!(std::time::Instant::now() < deadline, "connection leaked");
+    // Wait until the abort was counted and the connection is gone.
+    // Polling for zero open connections alone would pass too early: the
+    // reactor counts the accept before it registers the connection.
+    loop {
+        let accepts = stats.accepts.load(Ordering::Relaxed);
+        let open = stats.open_connections.load(Ordering::Relaxed);
+        let aborts = stats.client_aborts.load(Ordering::Relaxed);
+        if open == 0 && aborts >= 1 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "connection leaked: accepts={accepts} open={open} aborts={aborts}"
+        );
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(stats.client_aborts.load(Ordering::Relaxed), 1);

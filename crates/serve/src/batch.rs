@@ -9,8 +9,13 @@
 //! level-synchronous traversal per model instead of a per-row walk. Each
 //! job carries a reply channel; callers block on it.
 //!
-//! Two policies are available (see [`SchedulerPolicy`]), both proven in
-//! the `traj-sim` discrete-event simulator before landing here:
+//! The queues, admission, the batching decision and the shutdown drain
+//! are [`traj_sim::Scheduler`], the core the `traj-sim` discrete-event
+//! simulator runs on virtual time; this module drives it on wall-clock
+//! nanoseconds from one batcher thread and owns what the simulator does
+//! not model: reply channels, the flush itself, metrics and the online
+//! service-time estimate. Two policies are available (see
+//! [`SchedulerKind`]):
 //!
 //! * **Fixed** — the classic `max_batch`/`max_delay` rule. Under
 //!   closed-loop load below `max_batch` concurrency it is *wait-bound*:
@@ -35,55 +40,19 @@
 
 use crate::metrics::ServeMetrics;
 use crate::registry::{LoadedModel, Prediction};
-use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use traj_ml::{PredictError, RowMatrix};
-use traj_sim::{adaptive_batch_size, Class};
-
-/// Which batching policy the flush thread runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerPolicy {
-    /// Flush on size or age — the pre-SLO default, kept as the
-    /// benchmark baseline and for explicit opt-in.
-    Fixed {
-        /// Flush when this many jobs are queued.
-        max_batch: usize,
-        /// Flush when the oldest *visible* job is this old.
-        max_delay: Duration,
-    },
-    /// Deadline-driven adaptive batching (the default).
-    Adaptive {
-        /// Hard flush-size cap (bounds scratch memory).
-        max_batch: usize,
-    },
-}
-
-impl SchedulerPolicy {
-    /// The policy's flush-size cap.
-    pub fn max_batch(&self) -> usize {
-        match *self {
-            SchedulerPolicy::Fixed { max_batch, .. } => max_batch,
-            SchedulerPolicy::Adaptive { max_batch } => max_batch,
-        }
-    }
-
-    /// Display name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SchedulerPolicy::Fixed { .. } => "fixed",
-            SchedulerPolicy::Adaptive { .. } => "adaptive",
-        }
-    }
-}
+pub use traj_sim::SchedulerKind;
+use traj_sim::{Class, Decision, Queued, Scheduler};
 
 /// Scheduling configuration of the [`MicroBatcher`].
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
-    /// The batching policy.
-    pub policy: SchedulerPolicy,
+    /// The batching policy (adaptive by default).
+    pub policy: SchedulerKind,
     /// Per-job scheduling deadline, measured from admission; the
     /// adaptive policy sizes batches to hold it and `/metrics` counts
     /// misses against it.
@@ -95,23 +64,9 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
-            policy: SchedulerPolicy::Adaptive { max_batch: 128 },
+            policy: SchedulerKind::Adaptive { max_batch: 128 },
             slo: Duration::from_millis(50),
             queue_cap: 1024,
-        }
-    }
-}
-
-impl BatchConfig {
-    /// The pre-SLO fixed policy (`max_batch` = 32, `max_delay` = 2 ms)
-    /// with this config's SLO and cap — the benchmark baseline.
-    pub fn fixed_baseline() -> BatchConfig {
-        BatchConfig {
-            policy: SchedulerPolicy::Fixed {
-                max_batch: 32,
-                max_delay: Duration::from_millis(2),
-            },
-            ..BatchConfig::default()
         }
     }
 }
@@ -129,8 +84,6 @@ struct Job {
     model: Arc<LoadedModel>,
     row: Vec<f64>,
     reply: SyncSender<Result<Prediction, PredictError>>,
-    enqueued: Instant,
-    deadline: Instant,
 }
 
 /// Online EWMA estimate of flush duration per power-of-two batch-size
@@ -207,10 +160,7 @@ impl ServiceEstimator {
 
 /// Queue state shared between submitters and the flush thread.
 struct Inner {
-    /// One FIFO per priority class, drained highest class first.
-    queues: [VecDeque<Job>; 3],
-    /// Total queued jobs across classes.
-    depth: usize,
+    sched: Scheduler<Job>,
     shutdown: bool,
     est: ServiceEstimator,
 }
@@ -219,13 +169,20 @@ struct Shared {
     inner: Mutex<Inner>,
     /// Signals the flush thread: new job, or shutdown.
     cond: Condvar,
+    /// Zero of the nanosecond clock the scheduler runs on.
+    epoch: Instant,
+}
+
+impl Shared {
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
 }
 
 /// Handle to the batching thread. Dropping it stops the thread; queued
 /// jobs are answered with [`PredictError::ShuttingDown`], never dropped.
 pub struct MicroBatcher {
     shared: Arc<Shared>,
-    config: BatchConfig,
     metrics: Arc<ServeMetrics>,
     worker: Option<JoinHandle<()>>,
 }
@@ -233,24 +190,24 @@ pub struct MicroBatcher {
 impl MicroBatcher {
     /// Spawns the batching thread.
     pub fn new(config: BatchConfig, metrics: Arc<ServeMetrics>) -> MicroBatcher {
+        let slo_ns = u64::try_from(config.slo.as_nanos()).unwrap_or(u64::MAX);
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
-                queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-                depth: 0,
+                sched: Scheduler::new(config.policy, slo_ns, config.queue_cap),
                 shutdown: false,
                 est: ServiceEstimator::new(),
             }),
             cond: Condvar::new(),
+            epoch: Instant::now(),
         });
         let thread_shared = Arc::clone(&shared);
         let thread_metrics = Arc::clone(&metrics);
         let worker = std::thread::Builder::new()
             .name("traj-serve-batcher".to_owned())
-            .spawn(move || batch_loop(&thread_shared, config, &thread_metrics))
+            .spawn(move || batch_loop(&thread_shared, &thread_metrics))
             .expect("spawn batcher thread");
         MicroBatcher {
             shared,
-            config,
             metrics,
             worker: Some(worker),
         }
@@ -270,8 +227,8 @@ impl MicroBatcher {
         priority: Class,
     ) -> Result<Receiver<Result<Prediction, PredictError>>, ShedError> {
         let (reply, result) = sync_channel(1);
-        let mut inner = self.shared.inner.lock().expect("batcher lock");
-        if inner.shutdown {
+        let mut guard = self.shared.inner.lock().expect("batcher lock");
+        if guard.shutdown {
             // Typed terminal reply instead of a dropped channel.
             self.metrics
                 .scheduler
@@ -280,40 +237,18 @@ impl MicroBatcher {
             let _ = reply.send(Err(PredictError::ShuttingDown));
             return Ok(result);
         }
-        let cap = self.config.queue_cap;
-        if cap > 0 {
-            let limit = match priority {
-                Class::Interactive => Some(cap),
-                // Never shed close-time jobs: the stream engine already
-                // consumed the segment.
-                Class::Close => None,
-                Class::Bulk => Some((cap / 2).max(1)),
-            };
-            if limit.is_some_and(|l| inner.depth >= l) {
-                let retry_after = inner
-                    .est
-                    .drain_estimate(inner.depth, self.config.policy.max_batch().max(1));
-                self.metrics.scheduler.record_shed(priority);
-                return Err(ShedError { retry_after });
-            }
+        let now = self.shared.now_ns();
+        let inner = &mut *guard;
+        let job = Job { model, row, reply };
+        if inner.sched.admit(priority, job, now).is_err() {
+            let max_batch = inner.sched.kind().max_batch().max(1);
+            let retry_after = inner.est.drain_estimate(inner.sched.depth(), max_batch);
+            self.metrics.scheduler.record_shed(priority);
+            return Err(ShedError { retry_after });
         }
-        let now = Instant::now();
-        inner.queues[priority as usize].push_back(Job {
-            model,
-            row,
-            reply,
-            enqueued: now,
-            deadline: now + self.config.slo,
-        });
-        inner.depth += 1;
-        drop(inner);
+        drop(guard);
         self.shared.cond.notify_one();
         Ok(result)
-    }
-
-    /// Jobs currently queued (all classes).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.inner.lock().expect("batcher lock").depth
     }
 
     /// Begins shutdown without waiting for the worker: queued jobs are
@@ -334,93 +269,53 @@ impl Drop for MicroBatcher {
     }
 }
 
-fn batch_loop(shared: &Shared, config: BatchConfig, metrics: &ServeMetrics) {
-    let mut batch: Vec<Job> = Vec::new();
+fn batch_loop(shared: &Shared, metrics: &ServeMetrics) {
+    let mut batch: Vec<Queued<Job>> = Vec::new();
     let mut scratch = FlushScratch::default();
-    // Fixed policy: absolute flush time, armed when the thread first
-    // sees a job with the executor idle (this thread *is* the executor,
-    // so "first sees" is exactly the old recv()-then-arm semantics).
-    let mut armed: Option<Instant> = None;
 
-    let mut inner = shared.inner.lock().expect("batcher lock");
+    let mut guard = shared.inner.lock().expect("batcher lock");
     loop {
+        let inner = &mut *guard;
         if inner.shutdown {
             // Answer everything still queued; exactly-once, typed.
-            for class in &mut inner.queues {
-                for job in class.drain(..) {
-                    let _ = job.reply.send(Err(PredictError::ShuttingDown));
-                }
+            for job in inner.sched.drain() {
+                let _ = job.reply.send(Err(PredictError::ShuttingDown));
             }
-            inner.depth = 0;
             return;
         }
-        if inner.depth == 0 {
-            armed = None;
-            inner = shared.cond.wait(inner).expect("batcher lock");
-            continue;
-        }
 
-        let now = Instant::now();
-        let take = match config.policy {
-            SchedulerPolicy::Fixed {
-                max_batch,
-                max_delay,
-            } => {
-                let max_batch = max_batch.max(1);
-                if inner.depth >= max_batch {
-                    armed = None;
-                    max_batch
-                } else {
-                    let flush_at = *armed.get_or_insert(now + max_delay);
-                    if now < flush_at {
-                        let (guard, _) = shared
-                            .cond
-                            .wait_timeout(inner, flush_at - now)
-                            .expect("batcher lock");
-                        inner = guard;
-                        continue; // re-check depth / shutdown / clock
-                    }
-                    armed = None;
-                    inner.depth
-                }
+        // This thread is the executor, so it first sees a job when it
+        // polls: the fixed policy's timer anchors at `now`.
+        let now = shared.now_ns();
+        let est = &inner.est;
+        match inner.sched.poll(now, now, |b| est.estimate_ns(b)) {
+            Decision::Idle => {
+                guard = shared.cond.wait(guard).expect("batcher lock");
+                continue;
             }
-            SchedulerPolicy::Adaptive { max_batch } => {
-                let headroom = Class::ALL
-                    .iter()
-                    .filter_map(|&p| inner.queues[p as usize].front())
-                    .map(|job| job.deadline)
-                    .min()
-                    .expect("depth > 0")
-                    .saturating_duration_since(now);
-                adaptive_batch_size(inner.depth, max_batch, headroom.as_nanos() as u64, |b| {
-                    inner.est.estimate_ns(b)
-                })
+            Decision::WaitUntil(at) => {
+                let timeout = Duration::from_nanos(at - now);
+                (guard, _) = shared
+                    .cond
+                    .wait_timeout(guard, timeout)
+                    .expect("batcher lock");
+                continue; // re-check shutdown / depth / clock
             }
-        };
-
-        // Pop `take` jobs in priority order, recording queue wait.
-        for class in Class::ALL {
-            while batch.len() < take {
-                let Some(job) = inner.queues[class as usize].pop_front() else {
-                    break;
-                };
-                metrics
-                    .scheduler
-                    .queue_wait_us
-                    .record(now.saturating_duration_since(job.enqueued).as_micros() as u64);
-                batch.push(job);
-            }
+            Decision::Flush(n) => batch.extend(inner.sched.pop(n)),
         }
-        inner.depth -= batch.len();
-        drop(inner); // flush outside the lock: submits stay non-blocking
+        drop(guard); // flush outside the lock: submits stay non-blocking
+
+        for queued in &batch {
+            let wait_ns = now.saturating_sub(queued.enqueue_ns);
+            metrics.scheduler.queue_wait_us.record(wait_ns / 1_000);
+        }
 
         metrics.batch_size.record(batch.len() as u64);
         let rows = batch.len();
-        let started = Instant::now();
+        let started = shared.now_ns();
         flush(&batch, &mut scratch, metrics);
-        let elapsed = started.elapsed();
-        let done = started + elapsed;
-        let misses = batch.iter().filter(|j| done > j.deadline).count();
+        let done = shared.now_ns();
+        let misses = batch.iter().filter(|q| done > q.deadline_ns).count();
         if misses > 0 {
             metrics
                 .scheduler
@@ -429,8 +324,8 @@ fn batch_loop(shared: &Shared, config: BatchConfig, metrics: &ServeMetrics) {
         }
         batch.clear();
 
-        inner = shared.inner.lock().expect("batcher lock");
-        inner.est.observe(rows, elapsed.as_nanos() as f64);
+        guard = shared.inner.lock().expect("batcher lock");
+        guard.est.observe(rows, done.saturating_sub(started) as f64);
     }
 }
 
@@ -447,9 +342,9 @@ struct FlushScratch {
 /// usually holds one, `Arc::ptr_eq` keeps grouping O(groups·jobs)), each
 /// group runs as one call to [`LoadedModel::predict_scaled_batch`], and
 /// per-group errors fan back out to every affected reply channel.
-fn flush(batch: &[Job], scratch: &mut FlushScratch, metrics: &ServeMetrics) {
+fn flush(batch: &[Queued<Job>], scratch: &mut FlushScratch, metrics: &ServeMetrics) {
     scratch.groups.clear();
-    for (i, job) in batch.iter().enumerate() {
+    for (i, Queued { job, .. }) in batch.iter().enumerate() {
         match scratch
             .groups
             .iter_mut()
@@ -463,11 +358,11 @@ fn flush(batch: &[Job], scratch: &mut FlushScratch, metrics: &ServeMetrics) {
     for (model, ixs) in &scratch.groups {
         let width = model.input_width();
         let (ixs, bad): (Vec<usize>, Vec<usize>) =
-            ixs.iter().partition(|&&i| batch[i].row.len() == width);
+            ixs.iter().partition(|&&i| batch[i].job.row.len() == width);
         for i in bad {
-            let _ = batch[i].reply.send(Err(PredictError::WrongWidth {
+            let _ = batch[i].job.reply.send(Err(PredictError::WrongWidth {
                 expected: width,
-                got: batch[i].row.len(),
+                got: batch[i].job.row.len(),
             }));
         }
         if ixs.is_empty() {
@@ -475,18 +370,18 @@ fn flush(batch: &[Job], scratch: &mut FlushScratch, metrics: &ServeMetrics) {
         }
         scratch.rows.reset(width);
         for &i in &ixs {
-            scratch.rows.push_row(&batch[i].row);
+            scratch.rows.push_row(&batch[i].job.row);
         }
         match model.predict_scaled_batch(&scratch.rows) {
             Ok(predictions) => {
                 metrics.record_predictions(&model.artifact.name, ixs.len() as u64);
                 for (&i, prediction) in ixs.iter().zip(predictions) {
-                    let _ = batch[i].reply.send(Ok(prediction));
+                    let _ = batch[i].job.reply.send(Ok(prediction));
                 }
             }
             Err(e) => {
                 for &i in &ixs {
-                    let _ = batch[i].reply.send(Err(e));
+                    let _ = batch[i].job.reply.send(Err(e));
                 }
             }
         }
@@ -524,9 +419,9 @@ mod tests {
         let metrics = Arc::new(ServeMetrics::new(&["batcher-test".to_owned()]));
         let batcher = MicroBatcher::new(
             BatchConfig {
-                policy: SchedulerPolicy::Fixed {
+                policy: SchedulerKind::Fixed {
                     max_batch: 4,
-                    max_delay: Duration::from_millis(5),
+                    max_delay_us: 5_000,
                 },
                 ..BatchConfig::default()
             },
@@ -618,23 +513,22 @@ mod tests {
             },
             Arc::clone(&metrics),
         );
-        // Wedge the queue by pre-filling while the flush thread is
-        // blocked behind the lock.
+        // Wedge the queue by pre-filling through the scheduler while the
+        // flush thread is blocked behind the lock (admitting here does
+        // not wake it).
         let n_features = model.artifact.feature_names.len();
         let mut receivers = Vec::new();
         {
             let mut inner = batcher.shared.inner.lock().unwrap();
             for _ in 0..8 {
                 let (reply, rx) = sync_channel(1);
-                let now = Instant::now();
-                inner.queues[Class::Interactive as usize].push_back(Job {
+                let job = Job {
                     model: Arc::clone(&model),
                     row: vec![0.1; n_features],
                     reply,
-                    enqueued: now,
-                    deadline: now + Duration::from_millis(50),
-                });
-                inner.depth += 1;
+                };
+                let now = batcher.shared.now_ns();
+                assert!(inner.sched.admit(Class::Interactive, job, now).is_ok());
                 receivers.push(rx);
             }
             // Depth 8 = cap: bulk (limit 4) and interactive (limit 8)

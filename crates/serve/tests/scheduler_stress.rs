@@ -13,11 +13,11 @@ use traj_geolife::{SynthConfig, SynthDataset};
 use traj_ml::compiled::PredictError;
 use traj_net::client::request as client_request;
 use traj_serve::artifact::{ModelArtifact, TrainSpec, MIN_SEGMENT_POINTS};
-use traj_serve::batch::{BatchConfig, MicroBatcher, SchedulerPolicy};
+use traj_serve::batch::{BatchConfig, MicroBatcher};
 use traj_serve::metrics::ServeMetrics;
 use traj_serve::registry::{LoadedModel, ModelRegistry};
 use traj_serve::server::{serve, ServerConfig};
-use traj_sim::Class;
+use traj_sim::{Class, SchedulerKind};
 
 fn synth_segments(seed: u64) -> Vec<Segment> {
     SynthDataset::generate(&SynthConfig {
@@ -55,7 +55,7 @@ fn every_admitted_job_is_answered_exactly_once_under_shutdown_races() {
     let metrics = Arc::new(ServeMetrics::new(&["stress".to_owned()]));
     let batcher = Arc::new(MicroBatcher::new(
         BatchConfig {
-            policy: SchedulerPolicy::Adaptive { max_batch: 16 },
+            policy: SchedulerKind::Adaptive { max_batch: 16 },
             queue_cap: 64,
             ..BatchConfig::default()
         },
@@ -143,9 +143,9 @@ fn shutdown_drains_queued_jobs_with_typed_errors() {
         BatchConfig {
             // A fixed policy with a long delay keeps jobs parked in the
             // queue long enough for shutdown to catch them.
-            policy: SchedulerPolicy::Fixed {
+            policy: SchedulerKind::Fixed {
                 max_batch: 64,
-                max_delay: Duration::from_secs(5),
+                max_delay_us: 5_000_000,
             },
             ..BatchConfig::default()
         },
@@ -196,9 +196,9 @@ fn overload_sheds_with_429_before_latency_blows_the_deadline() {
             // builds a standing backlog deterministically — single-row
             // tree predictions are otherwise too fast for the adaptive
             // scheduler to ever leave a queue behind in a test.
-            policy: SchedulerPolicy::Fixed {
+            policy: SchedulerKind::Fixed {
                 max_batch: 64,
-                max_delay: Duration::from_millis(50),
+                max_delay_us: 50_000,
             },
             slo,
             // Interactive cap 2: with 8 clients in flight the queue is

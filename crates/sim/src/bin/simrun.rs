@@ -67,20 +67,24 @@ fn parse_args() -> Result<Args, String> {
         other => return Err(format!("unknown --arrival {other:?}")),
     };
 
-    let max_batch = num("max-batch", 128.0)? as usize;
+    let SchedulerKind::Fixed {
+        max_batch: fixed_batch,
+        max_delay_us,
+    } = SchedulerKind::FIXED_BASELINE
+    else {
+        unreachable!("the baseline is a fixed policy")
+    };
     let scheduler = match map
         .get("scheduler")
         .map(String::as_str)
         .unwrap_or("adaptive")
     {
-        "adaptive" => SchedulerKind::Adaptive { max_batch },
+        "adaptive" => SchedulerKind::Adaptive {
+            max_batch: num("max-batch", 128.0)? as usize,
+        },
         "fixed" => SchedulerKind::Fixed {
-            max_batch: if map.contains_key("max-batch") {
-                max_batch
-            } else {
-                32
-            },
-            max_delay_us: num("max-delay-us", 2_000.0)? as u64,
+            max_batch: num("max-batch", fixed_batch as f64)? as usize,
+            max_delay_us: num("max-delay-us", max_delay_us as f64)? as u64,
         },
         other => return Err(format!("unknown --scheduler {other:?}")),
     };

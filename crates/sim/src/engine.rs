@@ -1,6 +1,8 @@
 //! The discrete-event core: a deterministic replay of the `traj-serve`
-//! pipeline — arrivals → request workers (preprocessing) → bounded
-//! batch queue (admission control) → batching policy → executor.
+//! pipeline — arrivals → request workers (preprocessing) → the shared
+//! [`Scheduler`] (admission control, batching policy) → executor. The
+//! scheduler is the very core `traj_serve::batch` runs, driven here on
+//! virtual time.
 //!
 //! Two resource constraints shape the latency curves:
 //!
@@ -22,7 +24,7 @@
 use crate::arrival::{ArrivalGen, ArrivalProcess, NS_PER_S};
 use crate::report::{ClassStats, SimReport, TraceEvent};
 use crate::rng::SimRng;
-use crate::scheduler::{Class, Decision, QueueView, SchedulerKind};
+use crate::scheduler::{Class, Decision, Queued, Scheduler, SchedulerKind};
 use crate::service::ServiceModel;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -94,12 +96,6 @@ struct Request {
     class: Class,
     /// When the request entered the system (client send).
     arrival_ns: u64,
-    /// When preprocessing finished and the job entered the batch queue.
-    enqueue_ns: u64,
-    /// Scheduling deadline: `enqueue + slo`.
-    deadline_ns: u64,
-    /// When the job was popped for a flush.
-    flush_ns: u64,
     /// Closed-loop client that issued it, if any.
     client: Option<usize>,
 }
@@ -109,8 +105,11 @@ struct Request {
 enum CpuTask {
     /// Preprocessing of one request.
     Pre(usize),
-    /// One flush of the listed requests.
-    Exec(Vec<usize>),
+    /// One flush of the requests popped at `popped_ns`.
+    Exec {
+        popped_ns: u64,
+        jobs: Vec<Queued<usize>>,
+    },
 }
 
 /// Heap events; `seq` makes equal-time ordering deterministic.
@@ -168,16 +167,10 @@ pub struct Sim {
     /// this — on one core a preprocessing backlog delays the fixed
     /// policy's delay clock, exactly as it does in `traj-serve`.
     cpu_free_since_ns: Option<u64>,
-    // Batch queue, one FIFO per class.
-    queues: [VecDeque<usize>; 3],
-    depth: usize,
+    /// The batch queue and policy; jobs are request ids.
+    sched: Scheduler<usize>,
     exec_busy: bool,
     exec_idle_since_ns: u64,
-    /// Fixed policy only: the latched flush time. The real batcher arms
-    /// its delay timer once per idle period and flushes whatever is
-    /// queued when it fires — late jobs miss the round and wait out
-    /// their own timer, they do not postpone the cohort.
-    fixed_flush_at_ns: Option<u64>,
     // Outcome accumulators.
     stats: [ClassStats; 3],
     trace: Vec<TraceEvent>,
@@ -195,6 +188,11 @@ impl Sim {
         let horizon_ns = (config.duration_s * NS_PER_S as f64) as u64;
         let class_rng = SimRng::new(config.seed ^ 0x0c1a_55e5);
         let jitter_rng = SimRng::new(config.seed ^ 0x5c4e_d111);
+        let sched = Scheduler::new(
+            config.scheduler,
+            config.slo_us.saturating_mul(1_000),
+            config.queue_cap,
+        );
         Sim {
             config,
             clock_ns: 0,
@@ -206,11 +204,9 @@ impl Sim {
             cpu_busy: 0,
             cpu_queue: VecDeque::new(),
             cpu_free_since_ns: Some(0),
-            queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-            depth: 0,
+            sched,
             exec_busy: false,
             exec_idle_since_ns: 0,
-            fixed_flush_at_ns: None,
             stats: [
                 ClassStats::default(),
                 ClassStats::default(),
@@ -323,9 +319,6 @@ impl Sim {
         self.requests.push(Request {
             class,
             arrival_ns: self.clock_ns,
-            enqueue_ns: 0,
-            deadline_ns: 0,
-            flush_ns: 0,
             client,
         });
         self.stats[class as usize].offered += 1;
@@ -364,7 +357,7 @@ impl Sim {
         }
         match task {
             CpuTask::Pre(id) => self.on_pre_done(id),
-            CpuTask::Exec(ids) => self.on_exec_done(&ids),
+            CpuTask::Exec { popped_ns, jobs } => self.on_exec_done(popped_ns, &jobs),
         }
     }
 
@@ -378,7 +371,7 @@ impl Sim {
         }
 
         let class = self.requests[id].class;
-        if self.shed(class) {
+        if self.sched.admit(class, id, self.clock_ns).is_err() {
             self.stats[class as usize].shed += 1;
             let arrival = self.requests[id].arrival_ns;
             self.trace_event("shed", class, arrival, self.clock_ns - arrival);
@@ -392,111 +385,47 @@ impl Sim {
             return;
         }
 
-        let slo_ns = self.config.slo_us * 1_000;
-        self.requests[id].enqueue_ns = self.clock_ns;
-        self.requests[id].deadline_ns = self.clock_ns + slo_ns;
-        self.queues[class as usize].push_back(id);
-        self.depth += 1;
         self.try_flush();
     }
 
-    /// Admission control, mirroring `traj_serve::batch`: bulk jobs are
-    /// rejected at half the cap so interactive headroom survives a bulk
-    /// flood; interactive jobs use the full cap; close-time jobs are
-    /// never shed (the stream engine already consumed the segment).
-    fn shed(&self, class: Class) -> bool {
-        let cap = self.config.queue_cap;
-        if cap == 0 {
-            return false;
-        }
-        let limit = match class {
-            Class::Bulk => (cap / 2).max(1),
-            Class::Interactive => cap,
-            Class::Close => return false,
-        };
-        self.depth >= limit
-    }
-
-    /// Polls the policy while the executor is idle and jobs are queued.
+    /// Polls the scheduler while the executor is idle.
     fn try_flush(&mut self) {
-        if self.depth == 0 {
-            // A wake can fire after a size-triggered flush already
-            // emptied the queue; the stale timer must not carry over to
-            // the next cohort.
-            self.fixed_flush_at_ns = None;
-            return;
-        }
         if self.exec_busy {
             return;
         }
-        let (oldest_enqueue, oldest_deadline) = Class::ALL
-            .iter()
-            .filter_map(|&c| self.queues[c as usize].front())
-            .map(|&id| (self.requests[id].enqueue_ns, self.requests[id].deadline_ns))
-            .min()
-            .expect("depth > 0");
-        let view = QueueView {
-            now_ns: self.clock_ns,
-            depth: self.depth,
-            oldest_enqueue_ns: oldest_enqueue,
-            oldest_deadline_ns: oldest_deadline,
-            // The batcher thread last got the floor when the executor
-            // was idle AND a core was free to schedule it on.
-            idle_since_ns: self
-                .exec_idle_since_ns
-                .max(self.cpu_free_since_ns.unwrap_or(self.clock_ns)),
-            armed_flush_at_ns: self.fixed_flush_at_ns,
-            model: &self.config.service,
-        };
-        let was_armed = self.fixed_flush_at_ns.is_some();
-        match self.config.scheduler.poll(&view) {
-            Decision::WaitUntil(at) => {
-                if at > self.clock_ns {
-                    if !was_armed {
-                        // Latch the timer; jobs arriving before the wake
-                        // join this round without restarting the clock.
-                        self.fixed_flush_at_ns = Some(at);
-                        // Timer wakes overshoot on a busy host: the
-                        // batcher thread must win the core back first.
-                        let wake = at + self.jitter_ns();
-                        self.push(wake, Ev::BatcherWake);
-                    }
-                } else {
-                    // A policy returning a past wake must flush instead;
-                    // guard against a busy-loop.
-                    self.fixed_flush_at_ns = None;
-                    self.flush(self.depth);
-                }
+        // The batcher thread last got the floor when the executor was
+        // idle AND a core was free to schedule it on.
+        let idle_since = self
+            .exec_idle_since_ns
+            .max(self.cpu_free_since_ns.unwrap_or(self.clock_ns));
+        let armed = self.sched.armed_at();
+        let service = self.config.service;
+        match self
+            .sched
+            .poll(self.clock_ns, idle_since, |b| service.flush_ns(b))
+        {
+            Decision::Flush(n) => {
+                let jobs: Vec<_> = self.sched.pop(n).collect();
+                self.exec_busy = true;
+                let dur = service.flush_ns(jobs.len());
+                let popped_ns = self.clock_ns;
+                self.submit_cpu(CpuTask::Exec { popped_ns, jobs }, dur);
             }
-            Decision::Flush(b) => {
-                self.fixed_flush_at_ns = None;
-                self.flush(b);
+            // A newly armed timer: wakes overshoot on a busy host, since
+            // the batcher thread must win the core back first. A latched
+            // timer's wake is already in the heap.
+            Decision::WaitUntil(at) if armed.is_none() => {
+                let wake = at + self.jitter_ns();
+                self.push(wake, Ev::BatcherWake);
             }
+            Decision::WaitUntil(_) | Decision::Idle => {}
         }
-    }
-
-    fn flush(&mut self, b: usize) {
-        let b = b.min(self.depth).max(1);
-        let mut ids = Vec::with_capacity(b);
-        'outer: for class in Class::ALL {
-            while let Some(id) = self.queues[class as usize].pop_front() {
-                self.requests[id].flush_ns = self.clock_ns;
-                ids.push(id);
-                if ids.len() == b {
-                    break 'outer;
-                }
-            }
-        }
-        self.depth -= ids.len();
-        self.exec_busy = true;
-        let dur = self.config.service.flush_ns(ids.len());
-        self.submit_cpu(CpuTask::Exec(ids), dur);
     }
 
     /// A flush completed: answer every job, then re-poll the policy.
-    fn on_exec_done(&mut self, ids: &[usize]) {
-        for &id in ids {
-            let req = self.requests[id].clone();
+    fn on_exec_done(&mut self, popped_ns: u64, jobs: &[Queued<usize>]) {
+        for queued in jobs {
+            let req = self.requests[queued.job].clone();
             let stats = &mut self.stats[req.class as usize];
             stats.completed += 1;
             stats
@@ -504,8 +433,8 @@ impl Sim {
                 .push((self.clock_ns - req.arrival_ns) / 1_000);
             stats
                 .queue_wait_us
-                .push((req.flush_ns - req.enqueue_ns) / 1_000);
-            if self.clock_ns > req.deadline_ns {
+                .push((popped_ns - queued.enqueue_ns) / 1_000);
+            if self.clock_ns > queued.deadline_ns {
                 stats.deadline_misses += 1;
             }
             self.trace_event(
@@ -520,7 +449,7 @@ impl Sim {
                 }
             }
         }
-        let batch = ids.len();
+        let batch = jobs.len();
         self.stats[0].flushes += 1; // flush count kept on the overall row
         self.stats[0].batched_rows += batch as u64;
         self.exec_busy = false;
@@ -568,10 +497,7 @@ mod tests {
         // nearly every batch: p50 latency must sit above the delay while
         // the adaptive policy stays well below it.
         let fixed = Sim::new(SimConfig {
-            scheduler: SchedulerKind::Fixed {
-                max_batch: 32,
-                max_delay_us: 2_000,
-            },
+            scheduler: SchedulerKind::FIXED_BASELINE,
             ..base_config()
         })
         .run();

@@ -5,10 +5,11 @@
 //! are cheap to evaluate in virtual time and expensive in wall time: a
 //! sweep over arrival rates × schedulers × queue caps that would take
 //! hours of load testing runs in seconds here, deterministically, with
-//! no measurement noise. The policy that wins in the simulator — the
-//! deadline-driven adaptive batcher — is the one `traj_serve::batch`
-//! ships, and `bench_serve` closes the loop by checking the simulator's
-//! latency predictions against the real server on the same hardware.
+//! no measurement noise. The simulator and `traj_serve::batch` run one
+//! scheduling core, [`Scheduler`], so the policy that wins here — the
+//! deadline-driven adaptive batcher — is the code the server ships, and
+//! `bench_serve` closes the loop by checking the simulator's latency
+//! predictions against the real server on the same hardware.
 //!
 //! The model (see [`engine`]) is deliberately small: an arrival process
 //! feeds requests through a bounded worker pool (preprocessing), an
@@ -46,5 +47,5 @@ pub use arrival::{ArrivalProcess, NS_PER_S};
 pub use engine::{Sim, SimConfig};
 pub use report::{percentile_us, ClassReport, ClassStats, SimReport, TraceEvent};
 pub use rng::SimRng;
-pub use scheduler::{adaptive_batch_size, Class, Decision, QueueView, SchedulerKind};
+pub use scheduler::{Class, Decision, Queued, Scheduler, SchedulerKind};
 pub use service::ServiceModel;

@@ -43,10 +43,7 @@ fn different_seeds_diverge() {
 #[test]
 fn fixed_scheduler_is_deterministic_too() {
     let make = || SimConfig {
-        scheduler: SchedulerKind::Fixed {
-            max_batch: 32,
-            max_delay_us: 2_000,
-        },
+        scheduler: SchedulerKind::FIXED_BASELINE,
         ..config(21)
     };
     let a = Sim::new(make()).run();
